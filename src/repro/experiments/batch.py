@@ -71,6 +71,16 @@ PROBE_TRIALS = 4
 #: the stacked arrays comfortably in cache for typical problem sizes.
 LOCKSTEP_MAX_TRIALS = 64
 
+#: Narrowest group worth running on the lockstep kernel.  Its per-step
+#: bookkeeping (a few dozen small numpy reductions) only pays off once it
+#: is shared by enough trials.  With fast-forward on, a best-of-3 width
+#: sweep on deep_random and butterfly instances had the per-trial engine
+#: winning at every width up to 4 on every instance, and lockstep winning
+#: from 8 up on the fixed-problem bench instance (docs/performance.md,
+#: "Executor integration").  Narrower groups, such as the one-trial
+#: groups of an independent-instance sweep, run per trial.
+LOCKSTEP_MIN_TRIALS = 8
+
 #: Spec backends the lockstep kernel can execute, mapped to the kernel
 #: family that runs them.  ``frontier``/``frontier_vec`` (and the
 #: ``REPRO_BACKEND`` reroute between them) are byte-identical per trial,
@@ -201,29 +211,27 @@ class TrialExecutor:
 
         Consecutive specs sharing a :meth:`_group_key` (a fixed-problem
         Monte Carlo run differing only in seed) execute as one stacked
-        batch of up to :data:`LOCKSTEP_MAX_TRIALS` trials; everything else
-        falls through to the ordinary per-trial :meth:`run`.  Records come
-        back in spec order and are byte-identical to a per-trial loop —
-        the kernel's per-trial RNG streams replay the serial draws exactly
-        (pinned by ``tests/test_engine_lockstep.py``).
+        batch of up to :data:`LOCKSTEP_MAX_TRIALS` trials; groups narrower
+        than :data:`LOCKSTEP_MIN_TRIALS` and everything else fall through
+        to the ordinary per-trial :meth:`run`.  Records come back in spec
+        order and are byte-identical to a per-trial loop — the kernel's
+        per-trial RNG streams replay the serial draws exactly (pinned by
+        ``tests/test_engine_lockstep.py``).
         """
         specs = list(specs)
+        keys = [self._group_key(spec) for spec in specs]
         records: List = []
         i, n = 0, len(specs)
         while i < n:
-            key = self._group_key(specs[i])
-            if key is None:
-                records.append(self.run(specs[i]))
-                i += 1
-                continue
+            key = keys[i]
             j = i + 1
-            while (
-                j < n
-                and j - i < LOCKSTEP_MAX_TRIALS
-                and self._group_key(specs[j]) == key
-            ):
-                j += 1
-            records.extend(self._run_lockstep(specs[i:j], key[1]))
+            if key is not None:
+                while j < n and j - i < LOCKSTEP_MAX_TRIALS and keys[j] == key:
+                    j += 1
+            if key is None or j - i < LOCKSTEP_MIN_TRIALS:
+                records.extend(self.run(spec) for spec in specs[i:j])
+            else:
+                records.extend(self._run_lockstep(specs[i:j], key[1]))
             i = j
         return records
 
@@ -336,6 +344,24 @@ def _init_worker(
     )
 
 
+def _preload_lockstep() -> None:
+    """Import the lockstep kernel here, before a pool forks.
+
+    Forked workers inherit this process's modules, and the sweep driver
+    forks a fresh pool per shard.  The probe chunk no longer warms the
+    kernel in this process (it is narrower than ``LOCKSTEP_MIN_TRIALS``),
+    so without this every worker of every pool would import
+    ``engine_lockstep`` plus ``numpy.ma`` (which ``np.unique`` loads
+    lazily) on its first chunk, ~50 ms each.
+    """
+    from ..sim.soa import NUMPY_AVAILABLE
+
+    if NUMPY_AVAILABLE:
+        import numpy.ma  # noqa: F401
+
+        from ..sim import engine_lockstep  # noqa: F401
+
+
 def _run_chunk(chunk: Sequence) -> List:
     """Execute one chunk of specs in a pool worker, in order."""
     executor = _WORKER
@@ -395,7 +421,8 @@ def run_spec_trials_batched(
 
     Within every strategy, consecutive specs that differ only in seed
     (fixed-problem Monte Carlo batches) execute on the lockstep stacked
-    kernel in groups of up to :data:`LOCKSTEP_MAX_TRIALS` — process-level
+    kernel in groups of :data:`LOCKSTEP_MIN_TRIALS` to
+    :data:`LOCKSTEP_MAX_TRIALS` — process-level
     parallelism multiplies lockstep width instead of replacing it.
     ``lockstep=False`` forces the per-trial path everywhere (benchmarks
     use it to measure the kernel's speedup; results are byte-identical
@@ -454,6 +481,8 @@ def run_spec_trials_batched(
 
     from concurrent.futures import ProcessPoolExecutor
 
+    if lockstep:
+        _preload_lockstep()
     if chunksize is None:
         chunksize = default_chunksize(
             len(remaining), workers, per_item_sec=per_trial

@@ -277,32 +277,24 @@ class LeveledNetwork:
 
     def forward_reachable(self, source: NodeId) -> set[NodeId]:
         """All nodes reachable from ``source`` by forward edges (incl. itself)."""
+        # Every edge climbs one level, so each frontier is one whole level
+        # of new nodes and never meets a node seen before.
+        out, dst = self._out, self._edge_dst
         seen = {source}
-        frontier = [source]
+        frontier = {source}
         while frontier:
-            nxt: List[NodeId] = []
-            for u in frontier:
-                for e in self._out[u]:
-                    v = self._edge_dst[e]
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
+            frontier = {dst[e] for u in frontier for e in out[u]}
+            seen |= frontier
         return seen
 
     def backward_reachable(self, target: NodeId) -> set[NodeId]:
         """All nodes from which ``target`` is forward-reachable (incl. itself)."""
+        in_, src = self._in, self._edge_src
         seen = {target}
-        frontier = [target]
+        frontier = {target}
         while frontier:
-            nxt: List[NodeId] = []
-            for v in frontier:
-                for e in self._in[v]:
-                    u = self._edge_src[e]
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-            frontier = nxt
+            frontier = {src[e] for v in frontier for e in in_[v]}
+            seen |= frontier
         return seen
 
     def undirected_distances(self, source: NodeId) -> List[int]:

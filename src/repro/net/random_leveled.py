@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import TopologyError
 from ..rng import RngLike, make_rng
-from .leveled import LeveledNetwork, LeveledNetworkBuilder
+from .leveled import LeveledNetwork
 
 
 def random_leveled(
@@ -51,34 +51,48 @@ def random_leveled(
         shape = "x".join(str(s) for s in sizes)
     else:
         shape = f"{min(sizes)}..{max(sizes)}w x {len(sizes)}L"
-    builder = LeveledNetworkBuilder(name=f"random({shape},p={edge_probability})")
-    nodes = [builder.add_nodes(level, size) for level, size in enumerate(sizes)]
+    # Node ids run level by level, so level ``l`` holds ids
+    # ``first[l] .. first[l] + sizes[l] - 1``.
+    first = [0]
+    for size in sizes:
+        first.append(first[-1] + size)
+    node_levels = [level for level, size in enumerate(sizes) for _ in range(size)]
+    edges: list[tuple[int, int]] = []
 
     for level in range(len(sizes) - 1):
-        lower, upper = nodes[level], nodes[level + 1]
-        present = rng.random((len(lower), len(upper))) < edge_probability
+        lower, upper = sizes[level], sizes[level + 1]
+        present = rng.random((lower, upper)) < edge_probability
 
         # Degree repair: flip extra entries on so every row/column reaches
-        # its minimum, without ever duplicating an edge.
-        out_need = min(min_out_degree, len(upper))
-        for a in range(len(lower)):
-            missing = out_need - int(present[a].sum())
+        # its minimum, without ever duplicating an edge.  A repair touches
+        # only its own row (column), so the counts can be taken up front.
+        out_need = min(min_out_degree, upper)
+        for a, count in enumerate(present.sum(axis=1).tolist()):
+            missing = out_need - count
             if missing > 0:
                 absent = np.flatnonzero(~present[a])
                 picks = rng.choice(absent, size=missing, replace=False)
                 present[a, picks] = True
-        in_need = min(min_in_degree, len(lower))
-        for b in range(len(upper)):
-            missing = in_need - int(present[:, b].sum())
+        in_need = min(min_in_degree, lower)
+        for b, count in enumerate(present.sum(axis=0).tolist()):
+            missing = in_need - count
             if missing > 0:
                 absent = np.flatnonzero(~present[:, b])
                 picks = rng.choice(absent, size=missing, replace=False)
                 present[picks, b] = True
 
-        for a in range(len(lower)):
-            for b in np.flatnonzero(present[a]):
-                builder.add_edge(lower[a], upper[int(b)])
-    return builder.build()
+        # Row-major order: the edges of each lower node by ascending head.
+        rows, cols = np.nonzero(present)
+        edges.extend(
+            zip(
+                (rows + first[level]).tolist(),
+                (cols + first[level + 1]).tolist(),
+            )
+        )
+    # The constructor validates every edge joins consecutive levels.
+    return LeveledNetwork(
+        node_levels, edges, name=f"random({shape},p={edge_probability})"
+    )
 
 
 def random_level_sizes(

@@ -47,44 +47,49 @@ def min_bottleneck_path(
     ``best[v]`` is the smallest achievable bottleneck from ``v`` to the
     destination.  Ties broken randomly when ``rng`` is given, else by edge id.
     """
-    feasible = net.backward_reachable(destination)
-    if source not in feasible:
-        raise PathError(f"no forward path from {source} to {destination}")
+    geo = net.geometry()
+    out_edges, in_edges = geo.out_edges, geo.in_edges
+    edge_src, edge_dst = geo.edge_src, geo.edge_dst
+    levels = geo.node_levels
+    # Walk backward from the destination one level at a time, down to the
+    # source's level: every edge joins consecutive levels, so each frontier
+    # is exactly the nodes of one level that reach the destination, and the
+    # level above it already holds its final ``best`` values.
     best: dict[NodeId, int] = {destination: 0}
-    # Process feasible nodes from the destination's level downward.
-    by_level: dict[int, List[NodeId]] = {}
-    for v in feasible:
-        by_level.setdefault(net.level(v), []).append(v)
-    for level in range(net.level(destination) - 1, net.level(source) - 1, -1):
-        for v in by_level.get(level, ()):
+    lookup = best.get
+    frontier = {destination}
+    for _ in range(levels[destination] - levels[source]):
+        frontier = {edge_src[e] for v in frontier for e in in_edges[v]}
+        for v in frontier:
             value = None
-            for e in net.out_edges(v):
-                head = net.edge_dst(e)
-                if head in best:
-                    candidate = max(load[e] + 1, best[head])
+            for e in out_edges[v]:
+                below = lookup(edge_dst[e])
+                if below is not None:
+                    candidate = load[e] + 1
+                    if candidate < below:
+                        candidate = below
                     if value is None or candidate < value:
                         value = candidate
-            if value is not None:
-                best[v] = value
-    if source not in best:  # pragma: no cover - feasibility guarantees this
+            best[v] = value
+    if source not in frontier:
         raise PathError(f"no forward path from {source} to {destination}")
 
     edges: List[EdgeId] = []
     here = source
     while here != destination:
-        options = [
-            e
-            for e in net.out_edges(here)
-            if net.edge_dst(e) in best
-            and max(load[e] + 1, best[net.edge_dst(e)]) == best[here]
-        ]
+        target = best[here]
+        options = []
+        for e in out_edges[here]:
+            below = best.get(edge_dst[e])
+            if below is not None and max(load[e] + 1, below) == target:
+                options.append(e)
         pick = (
             options[int(rng.integers(0, len(options)))]
             if rng is not None and len(options) > 1
             else options[0]
         )
         edges.append(pick)
-        here = net.edge_dst(pick)
+        here = edge_dst[pick]
     return Path(net, edges, source=source)
 
 

@@ -104,9 +104,13 @@ def random_forward_destination(
     ``min_level`` restricts to destinations at or above that level; raises
     :class:`~repro.errors.WorkloadError` when none exists.
     """
-    reachable = sorted(net.forward_reachable(source))
-    floor = net.level(source) + 1 if min_level is None else min_level
-    options = [v for v in reachable if net.level(v) >= max(floor, net.level(source) + 1)]
+    above = net.level(source) + 1
+    floor = above if min_level is None else min_level
+    lowest = max(floor, above)
+    levels = net.geometry().node_levels
+    options = sorted(
+        v for v in net.forward_reachable(source) if levels[v] >= lowest
+    )
     if not options:
         raise WorkloadError(
             f"no forward destination from source {source} at level >= {floor}"

@@ -32,6 +32,7 @@ from repro.experiments import (
 )
 from repro.experiments.batch import (
     LOCKSTEP_MAX_TRIALS,
+    LOCKSTEP_MIN_TRIALS,
     TrialExecutor,
     run_spec_trials_batched,
 )
@@ -183,33 +184,47 @@ def test_executor_groups_homogeneous_chunks():
 
 @needs_numpy
 def test_executor_caps_group_width():
-    specs = sweep_specs(base_spec(), LOCKSTEP_MAX_TRIALS + 3)
+    specs = sweep_specs(base_spec(), LOCKSTEP_MAX_TRIALS + LOCKSTEP_MIN_TRIALS)
     records = TrialExecutor().run_chunk(specs)
     widths = {r.executor for r in records}
-    assert widths == {f"lockstep[w={LOCKSTEP_MAX_TRIALS}]", "lockstep[w=3]"}
+    assert widths == {
+        f"lockstep[w={LOCKSTEP_MAX_TRIALS}]",
+        f"lockstep[w={LOCKSTEP_MIN_TRIALS}]",
+    }
+    for ref, got in zip(TrialExecutor(lockstep=False).run_chunk(specs), records):
+        assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
+
+
+@needs_numpy
+@pytest.mark.parametrize("width", [1, LOCKSTEP_MIN_TRIALS - 1])
+def test_narrow_groups_run_per_trial(width):
+    """Groups narrower than LOCKSTEP_MIN_TRIALS skip the stacked kernel
+    (its per-step bookkeeping costs more than it batches) and return the
+    per-trial path's records byte for byte."""
+    specs = sweep_specs(base_spec(), width)
+    records = TrialExecutor().run_chunk(specs)
+    assert [r.spec for r in records] == specs
+    assert all(r.executor == "" for r in records)
+    for ref, got in zip(TrialExecutor(lockstep=False).run_chunk(specs), records):
+        assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
 
 
 @needs_numpy
 def test_executor_mixed_chunk_preserves_order_and_identity():
-    """Ineligible specs interleaved with a homogeneous run split the chunk:
-    the frontier run locksteps, the naive spec and the different-scenario
+    """Ineligible specs interleaved with homogeneous runs split the chunk:
+    each frontier run locksteps, the naive spec and the different-scenario
     spec fall through to the per-trial path, and record order is spec
     order throughout."""
-    frontier = sweep_specs(base_spec(), 4)
+    w = LOCKSTEP_MIN_TRIALS
+    frontier = sweep_specs(base_spec(), 2 * w)
     other = base_spec(seed=77).with_pinned_scenario()
     naive = base_spec(seed=23, backend="naive").with_pinned_scenario()
-    specs = frontier[:2] + [naive] + frontier[2:] + [other]
+    specs = frontier[:w] + [naive] + frontier[w:] + [other]
     records = TrialExecutor().run_chunk(specs)
     assert [r.spec for r in records] == specs
     tags = [r.executor for r in records]
-    assert tags == [
-        "lockstep[w=2]",
-        "lockstep[w=2]",
-        "lockstep[w=1]",
-        "lockstep[w=2]",
-        "lockstep[w=2]",
-        "lockstep[w=1]",
-    ]
+    group = [f"lockstep[w={w}]"] * w
+    assert tags == group + [""] + group + [""]
     for ref, got in zip(TrialExecutor(lockstep=False).run_chunk(specs), records):
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
 
@@ -263,12 +278,13 @@ def test_audit_specs_peel_off():
 def test_cache_hits_peel_out_of_the_group(tmp_path):
     """Disk hits come back as cached records; only the misses lockstep,
     and the stored bytes match what the per-trial path would store."""
-    specs = sweep_specs(base_spec(), 6)
+    w = LOCKSTEP_MIN_TRIALS
+    specs = sweep_specs(base_spec(), 3 + w)
     primer = TrialExecutor(cache_root=tmp_path, lockstep=False)
     primed = [primer.run(s) for s in specs[:3]]
     records = TrialExecutor(cache_root=tmp_path).run_chunk(specs)
-    assert [r.cached for r in records] == [True] * 3 + [False] * 3
-    assert [r.executor for r in records] == [""] * 3 + ["lockstep[w=3]"] * 3
+    assert [r.cached for r in records] == [True] * 3 + [False] * w
+    assert [r.executor for r in records] == [""] * 3 + [f"lockstep[w={w}]"] * w
     for ref, got in zip(primed, records[:3]):
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
     # A second pass hits the results the lockstep group stored back.
@@ -292,10 +308,16 @@ def test_run_spec_trials_batched_lockstep_toggle_identical():
 
 @needs_numpy
 class TestSweepShardIdentity:
+    #: shards of 10 and 9 trials, both wide enough to lockstep; a resume
+    #: two trials into shard 0 leaves a group of exactly LOCKSTEP_MIN_TRIALS
+    NUM_TRIALS = 2 * LOCKSTEP_MIN_TRIALS + 3
+
     @pytest.fixture
     def manifest(self):
         return SweepManifest.from_base(
-            base_spec(), num_trials=11, shard_size=4
+            base_spec(),
+            num_trials=self.NUM_TRIALS,
+            shard_size=LOCKSTEP_MIN_TRIALS + 2,
         )
 
     def test_lockstep_shards_byte_identical_to_serial(
@@ -339,19 +361,28 @@ class TestSweepShardIdentity:
 
     def test_heartbeat_reports_lockstep_width(self, manifest, tmp_path):
         beats = []
-        heartbeat = SweepHeartbeat(beats.append, total=11, interval_sec=0.0)
+        heartbeat = SweepHeartbeat(
+            beats.append, total=self.NUM_TRIALS, interval_sec=0.0
+        )
         store = open_store(tmp_path / "s", manifest)
         run_sweep(manifest, store, heartbeat=heartbeat, compact=False)
         final = beats[-1]
         assert final["final"] is True
-        assert final["lockstep_trials"] == 11
-        assert final["executor"].startswith("lockstep[w=")
+        assert final["lockstep_trials"] == self.NUM_TRIALS
+        # The last shard holds the remaining 9 trials: one group of 9.
+        assert final["executor"] == f"lockstep[w={LOCKSTEP_MIN_TRIALS + 1}]"
+        serial = open_store(tmp_path / "serial", manifest)
+        run_sweep(manifest, serial, compact=False, lockstep=False)
+        for shard in manifest.shard_ids():
+            assert store.shard_bytes(shard) == serial.shard_bytes(shard)
 
     def test_heartbeat_reports_per_trial_when_lockstep_off(
         self, manifest, tmp_path
     ):
         beats = []
-        heartbeat = SweepHeartbeat(beats.append, total=11, interval_sec=0.0)
+        heartbeat = SweepHeartbeat(
+            beats.append, total=self.NUM_TRIALS, interval_sec=0.0
+        )
         store = open_store(tmp_path / "s", manifest)
         run_sweep(
             manifest, store, heartbeat=heartbeat, compact=False,
@@ -360,3 +391,25 @@ class TestSweepShardIdentity:
         final = beats[-1]
         assert final["lockstep_trials"] == 0
         assert final["executor"] == "per-trial"
+
+    def test_unpinned_manifest_shards_identical_lockstep_on_and_off(
+        self, tmp_path
+    ):
+        """An unpinned manifest routes an independent instance per trial,
+        so every lockstep group has width 1 and runs per trial: the shard
+        bytes match a lockstep=False sweep and no trial reports lockstep."""
+        manifest = SweepManifest.from_base(
+            base_spec(), num_trials=self.NUM_TRIALS, shard_size=8, pin=False
+        )
+        beats = []
+        heartbeat = SweepHeartbeat(
+            beats.append, total=self.NUM_TRIALS, interval_sec=0.0
+        )
+        lockstep = open_store(tmp_path / "lockstep", manifest)
+        run_sweep(manifest, lockstep, heartbeat=heartbeat, compact=False)
+        serial = open_store(tmp_path / "serial", manifest)
+        run_sweep(manifest, serial, compact=False, lockstep=False)
+        for shard in manifest.shard_ids():
+            assert lockstep.shard_bytes(shard) == serial.shard_bytes(shard)
+        assert beats[-1]["lockstep_trials"] == 0
+        assert beats[-1]["executor"] == "per-trial"

@@ -57,3 +57,46 @@ class TestGoldenRuns:
         assert a.delivery_times != b.delivery_times or (
             a.total_deflections != b.total_deflections
         )
+
+
+def _instance_digest(problems) -> str:
+    """SHA-256 over every instance's level sizes, edge list and packet paths."""
+    import hashlib
+
+    h = hashlib.sha256()
+    for problem in problems:
+        net = problem.net
+        h.update(repr(net.level_sizes()).encode())
+        h.update(repr([net.edge_endpoints(e) for e in net.edges()]).encode())
+        for packet in problem.packets:
+            h.update(
+                repr(
+                    (packet.source, packet.destination, packet.path.edges)
+                ).encode()
+            )
+    return h.hexdigest()
+
+
+class TestGoldenInstanceBuild:
+    def test_built_instances_are_pinned(self):
+        """Pins the scenario builders (random leveled networks, forward
+        destinations, bottleneck and random path selection, butterfly
+        traffic) byte for byte over 56 instances, so a rewrite of any
+        builder loop must reproduce the same networks, RNG draws and
+        tie-breaks."""
+        problems = []
+        for seed in range(20):
+            problems.append(deep_random_instance(20, 6, 12, seed=seed))
+            problems.append(
+                deep_random_instance(
+                    12, 4, 8, seed=seed, low_congestion=False
+                )
+            )
+        for seed in range(4):
+            problems.append(deep_random_instance(32, 8, 30, seed=seed))
+        for seed in range(12):
+            problems.append(butterfly_random_instance(4, seed=seed))
+        assert len(problems) == 56
+        assert _instance_digest(problems) == (
+            "7b9c703f05f4ae76019e094bbb96b2c1ca8e581e3ff451d8348555ba8d3ea38c"
+        )

@@ -9,7 +9,8 @@ trajectory of the simulator is tracked PR over PR:
   ``tools/bench_baseline.json``;
 * ``BENCH_trials.json``  — end-to-end trial throughput (trials/sec) of the
   seeded experiment runner, serial vs. parallel, including a byte-identity
-  check between the two modes;
+  check between the two modes, and of independent-instance trials with
+  lockstep on vs off (``varied_instances``);
 * ``BENCH_presets.json`` — the paper-faithful vs ``"practical"`` preset
   comparison (mean makespan, steps-vs-(C+D) ratio, margin), gated on the
   practical preset delivering everything, passing the invariant audit,
@@ -507,6 +508,70 @@ def run_trials_bench(smoke: bool, workers: int, profile_dir=None) -> dict:
     return report
 
 
+def run_varied_bench(smoke: bool) -> dict:
+    """Independent-instance trials, lockstep on vs off, with an identity gate.
+
+    Every trial builds its own ``deep_random`` instance (the unpinned,
+    instance-distribution sweep that checks Theorem 4.26 per instance), so
+    each lockstep group is one trial wide and the executor runs it on the
+    per-trial path.  Both legs go through
+    :func:`~repro.experiments.batch.run_spec_trials_batched` in process,
+    interleaved repeat by repeat so machine drift hits them alike, and
+    report trials/sec as the median with its min/max spread.
+    ``varied_lockstep_identical`` requires every repeat of both legs to
+    produce byte-identical records; it is the only gate (no speed floor).
+    """
+    import statistics
+
+    from repro.experiments import deep_random_spec
+    from repro.experiments.batch import run_spec_trials_batched
+    from repro.experiments.parallel import derive_sweep_seeds
+
+    num_trials = 8 if smoke else 64
+    repeats = 2 if smoke else 5
+    base = deep_random_spec(20, 6, 12, seed=2026)
+    specs = [base.with_seed(s) for s in derive_sweep_seeds(2026, num_trials)]
+
+    print(
+        f"[varied] {num_trials} independent-instance trials, lockstep on "
+        f"vs off, {repeats} repeats ...",
+        flush=True,
+    )
+    rates = {True: [], False: []}
+    blobs = set()
+    for _ in range(repeats):
+        for lockstep in (True, False):
+            start = time.perf_counter()
+            records = run_spec_trials_batched(
+                specs, workers=1, lockstep=lockstep
+            )
+            rates[lockstep].append(num_trials / (time.perf_counter() - start))
+            blobs.add(_records_blob(records))
+
+    def _leg(values):
+        return {
+            "trials_per_sec": round(statistics.median(values), 3),
+            "trials_per_sec_min": round(min(values), 3),
+            "trials_per_sec_max": round(max(values), 3),
+        }
+
+    report = {
+        "scenario": base.name,
+        "fixed_problem": False,
+        "num_trials": num_trials,
+        "repeats": repeats,
+        "lockstep_on": _leg(rates[True]),
+        "lockstep_off": _leg(rates[False]),
+        "varied_lockstep_identical": len(blobs) == 1,
+    }
+    print(
+        f"[varied] lockstep on {report['lockstep_on']['trials_per_sec']:.1f} "
+        f"trials/sec, off {report['lockstep_off']['trials_per_sec']:.1f} "
+        f"trials/sec, identical={report['varied_lockstep_identical']}"
+    )
+    return report
+
+
 def run_sweep_bench(smoke: bool, workers: int) -> dict:
     """Sharded sweep-engine throughput + the kill/resume identity gate.
 
@@ -874,6 +939,7 @@ def main(argv=None) -> int:
         trials_report["sweep_throughput"] = run_sweep_bench(
             args.smoke, args.workers
         )
+        trials_report["varied_instances"] = run_varied_bench(args.smoke)
         print(f"wrote {write_bench_json('trials', trials_report)}")
         if not trials_report["serial_parallel_identical"]:
             print("ERROR: serial and parallel trial results differ", file=sys.stderr)
@@ -885,6 +951,15 @@ def main(argv=None) -> int:
             print(
                 "ERROR: lockstep batch records are not byte-identical to "
                 "per-trial execution",
+                file=sys.stderr,
+            )
+            return 1
+        # Unconditional too: independent-instance trials must come back
+        # byte-identical whether or not the executor may lockstep them.
+        if not trials_report["varied_instances"]["varied_lockstep_identical"]:
+            print(
+                "ERROR: independent-instance trial records differ between "
+                "lockstep on and off",
                 file=sys.stderr,
             )
             return 1
