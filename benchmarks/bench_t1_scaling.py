@@ -22,18 +22,24 @@ from repro.analysis import (
 )
 from repro.core import AlgorithmParams
 from repro.experiments import (
-    butterfly_hotrow_instance,
-    deep_random_instance,
+    butterfly_hotrow_spec,
+    deep_random_spec,
     run_frontier_trial,
-    run_trials_for_problem,
+    run_spec_trials,
 )
 from repro.rng import stable_hash_seed
+from repro.scenarios import build_problem
 
 from _common import bench_workers, emit, once, reset
 
 #: fixed frame parameterization for the whole sweep
 FRAME_KW = dict(m=8, w_factor=8.0, set_congestion_target=3.0)
 SEEDS = [0, 1, 2]
+
+
+def pinned(spec):
+    """``spec`` under the fixed frame parameterization, scenario pinned."""
+    return spec.with_params(**FRAME_KW).with_pinned_scenario()
 
 
 def run_point(problem, seed):
@@ -47,27 +53,24 @@ def run_point(problem, seed):
 
 
 def sweep(instances, label):
+    """Run every ``(name, spec)`` instance under each of :data:`SEEDS`.
+
+    ``spec`` carries ``FRAME_KW`` as backend params; its component seeds
+    are pinned, so the per-seed trials re-roll only the routing coins of
+    one fixed problem.  Records are identical at any
+    ``$REPRO_BENCH_WORKERS`` count, so the table never changes — only the
+    wall clock.
+    """
     rows = []
     xs, ys = [], []
-    workers = bench_workers()
-    for index, (name, problem) in enumerate(instances):
-        # Per-seed trials of one instance are independent; fan them across
-        # $REPRO_BENCH_WORKERS processes (records are identical at any
-        # worker count, so the table never changes — only the wall clock).
-        params = AlgorithmParams.practical(
-            max(1, problem.congestion),
-            problem.net.depth,
-            problem.num_packets,
-            **FRAME_KW,
-        )
-        records = run_trials_for_problem(
-            problem,
-            [stable_hash_seed(seed, index) for seed in SEEDS],
-            workers=workers,
-            params=params,
-        )
+    specs = []
+    for index, (_, spec) in enumerate(instances):
+        specs += [spec.with_seed(stable_hash_seed(seed, index)) for seed in SEEDS]
+    records = run_spec_trials(specs, workers=bench_workers())
+    for index, (name, spec) in enumerate(instances):
+        problem = build_problem(spec)
         makespans = []
-        for record in records:
+        for record in records[index * len(SEEDS) : (index + 1) * len(SEEDS)]:
             assert record.result.all_delivered, (name, record.result.summary())
             makespans.append(record.result.makespan)
         mean_t = sum(makespans) / len(makespans)
@@ -96,7 +99,7 @@ def sweep(instances, label):
 def test_t1_congestion_sweep(benchmark):
     reset("t1_scaling")
     instances = [
-        (f"bf(5) hot-row N={n}", butterfly_hotrow_instance(5, n, seed=11))
+        (f"bf(5) hot-row N={n}", pinned(butterfly_hotrow_spec(5, n, seed=11)))
         for n in (4, 8, 12, 16, 24, 32)
     ]
     rows, fit = sweep(instances, "C")
@@ -113,15 +116,12 @@ def test_t1_congestion_sweep(benchmark):
     )
     assert fit.r_squared > 0.9
 
-    once(benchmark, run_point, instances[-1][1], 0)
+    once(benchmark, run_point, build_problem(instances[-1][1]), 0)
 
 
 def test_t1_depth_sweep(benchmark):
     instances = [
-        (
-            f"random w=6 L={depth}",
-            deep_random_instance(depth, 6, 12, seed=13),
-        )
+        (f"random w=6 L={depth}", pinned(deep_random_spec(depth, 6, 12, seed=13)))
         for depth in (10, 16, 24, 32, 48, 64)
     ]
     rows, fit = sweep(instances, "L")
@@ -138,4 +138,4 @@ def test_t1_depth_sweep(benchmark):
     )
     assert fit.r_squared > 0.9
 
-    once(benchmark, run_point, instances[-1][1], 0)
+    once(benchmark, run_point, build_problem(instances[-1][1]), 0)

@@ -11,50 +11,50 @@ load-independent).
 """
 
 from repro.analysis import format_table
-from repro.dynamic import (
-    DynamicGreedyRouter,
-    DynamicNaiveRouter,
-    arrivals_to_problem,
-    bernoulli_arrivals,
-    dynamic_stats,
-    offered_load,
-)
-from repro.net import butterfly
-from repro.sim import Engine
+from repro.experiments import dynamic_spec
+from repro.scenarios import build_network, run_trial
 
 from _common import emit, once, reset
 
 HORIZON = 200
 
 
-def run_dynamic(net, rate, router_kind, seed):
-    arrivals = bernoulli_arrivals(net, rate, horizon=HORIZON, seed=seed)
-    problem, times = arrivals_to_problem(net, arrivals, seed=seed + 1)
-    if router_kind == "naive":
-        router = DynamicNaiveRouter(times)
-    else:
-        router = DynamicGreedyRouter(times, seed=seed + 2)
-    engine = Engine(problem, router, seed=seed + 3)
-    result = engine.run(HORIZON + 50000)
-    stats = dynamic_stats(
-        result, times, [len(spec.path) for spec in problem]
+def run_dynamic(rate, router_kind, seed):
+    """One ``dynamic_*`` backend run on butterfly(4); stats in ``extra``."""
+    spec = dynamic_spec(
+        4, rate=rate, horizon=HORIZON, seed=seed, greedy=router_kind == "greedy"
     )
-    load = offered_load(net, arrivals, HORIZON)
-    return load, result, stats
+    return run_trial(spec).result
+
+
+def stats_row(extra) -> tuple:
+    """Bench table row from the backend's latency statistics."""
+    return (
+        int(extra["offered"]),
+        int(extra["delivered"]),
+        "yes" if extra["drained"] else "NO",
+        f"{extra['mean_latency']:.1f}",
+        f"{extra['p50_latency']:.0f}",
+        f"{extra['p95_latency']:.0f}",
+        f"{extra['mean_hop_stretch']:.2f}",
+    )
 
 
 def test_t9_stability_sweep(benchmark):
     reset("t9_dynamic")
-    net = butterfly(4)
+    net = build_network(dynamic_spec(4))
     for router_kind in ("naive", "greedy"):
         rows = []
         stretches = []
         for rate in (0.1, 0.3, 0.5, 0.7, 0.9):
-            load, result, stats = run_dynamic(net, rate, router_kind, seed=7)
+            result = run_dynamic(rate, router_kind, seed=7)
             assert result.all_delivered, result.summary()
             assert result.unsafe_deflections == 0
-            rows.append((f"{rate:.1f}", f"{load:.2f}") + stats.as_row())
-            stretches.append(stats.mean_hop_stretch)
+            extra = result.extra
+            rows.append(
+                (f"{rate:.1f}", f"{extra['offered_load']:.2f}") + stats_row(extra)
+            )
+            stretches.append(extra["mean_hop_stretch"])
         emit(
             "t9_dynamic",
             format_table(
@@ -80,4 +80,4 @@ def test_t9_stability_sweep(benchmark):
         # Stability shape: latency stretch grows monotonically-ish in load.
         assert stretches[-1] > 2 * stretches[0]
 
-    once(benchmark, run_dynamic, net, 0.5, "naive", 7)
+    once(benchmark, run_dynamic, 0.5, "naive", 7)

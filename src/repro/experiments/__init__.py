@@ -1,9 +1,10 @@
 """Experiment harness shared by benchmarks/ and examples/.
 
 Instances live in :mod:`repro.experiments.configs` as a catalog of named
-:class:`~repro.scenarios.RunSpec` factories; trial execution fans out
-through :mod:`repro.experiments.parallel` and dispatches through the
-scenario layer (:mod:`repro.scenarios`).
+:class:`~repro.scenarios.RunSpec` factories.  A list of specs runs through
+:func:`run_spec_trials` (:mod:`repro.experiments.batch`), which dispatches
+each trial through the scenario layer (:mod:`repro.scenarios`); a sweep
+manifest runs through :func:`repro.sweeps.run_sweep`.
 """
 
 from .runner import (
@@ -13,25 +14,15 @@ from .runner import (
     run_frontier_vec_trial,
     run_naive_vec_trial,
     run_router_trial,
-    run_frontier_trials,
     run_frontier_trials_lockstep,
     run_naive_trials_lockstep,
 )
-from .parallel import (
+from .batch import (
     WORKERS_ENV_VAR,
+    TrialExecutor,
     default_chunksize,
     derive_sweep_seeds,
-    env_workers,
-    parallel_map,
     resolve_workers,
-    run_frontier_trials_parallel,
-    run_router_trials,
-    run_spec_trials,
-    run_specs,
-    run_trials_for_problem,
-)
-from .batch import (
-    TrialExecutor,
     run_spec_trials_batched,
     should_use_pool,
     usable_cpus,
@@ -59,6 +50,10 @@ from .configs import (
     BASELINE_BUDGET_FACTOR,
 )
 
+#: The spec-list entry point: the same function as
+#: :func:`~repro.experiments.batch.run_spec_trials_batched`.
+run_spec_trials = run_spec_trials_batched
+
 __all__ = [
     "TrialRecord",
     "resolve_trial_params",
@@ -66,20 +61,13 @@ __all__ = [
     "run_frontier_vec_trial",
     "run_naive_vec_trial",
     "run_router_trial",
-    "run_frontier_trials",
     "run_frontier_trials_lockstep",
     "run_naive_trials_lockstep",
     "WORKERS_ENV_VAR",
     "default_chunksize",
     "derive_sweep_seeds",
-    "env_workers",
-    "parallel_map",
     "resolve_workers",
-    "run_frontier_trials_parallel",
-    "run_router_trials",
     "run_spec_trials",
-    "run_specs",
-    "run_trials_for_problem",
     "TrialExecutor",
     "run_spec_trials_batched",
     "should_use_pool",

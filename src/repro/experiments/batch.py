@@ -15,11 +15,10 @@ return **byte-identical** records for the same specs:
   scenario registries and opens the on-disk :class:`~repro.scenarios.
   ResultCache` once, so no per-trial import or open cost remains.
 * **Chunked dispatch.**  Workers receive chunks of
-  :class:`~repro.scenarios.RunSpec` (sized by
-  :func:`~repro.experiments.parallel.default_chunksize`, which respects a
-  minimum per-chunk duration) instead of one pickled task per trial, and
-  return chunks of data-only records — the materialized problem never
-  crosses the process boundary.
+  :class:`~repro.scenarios.RunSpec` (sized by :func:`default_chunksize`,
+  which respects a minimum per-chunk duration) instead of one pickled
+  task per trial, and return chunks of data-only records — the
+  materialized problem never crosses the process boundary.
 * **Per-worker scenario warm cache.**  Each worker holds a
   :class:`~repro.scenarios.ScenarioCache` keyed by
   :meth:`RunSpec.scenario_hash`, so all trials sharing a scenario (seeds
@@ -44,13 +43,19 @@ size) can never leak into results, telemetry counters, or trace digests
 from __future__ import annotations
 
 import json
+import math
 import os
 import pathlib
 from time import perf_counter
 from typing import List, Optional, Sequence
 
+from ..rng import stable_hash_seed
 from ..scenarios import ScenarioCache
 from ..scenarios.cache import DEFAULT_SCENARIO_CAPACITY
+
+#: Environment knob read by the benchmark harness (see benchmarks/_common.py
+#: and ``python -m repro experiment --workers``).
+WORKERS_ENV_VAR = "REPRO_BENCH_WORKERS"
 
 #: Budget for spinning up a worker pool (fork/spawn, initializer imports,
 #: first-chunk latency).  Deliberately pessimistic: when in doubt the
@@ -91,6 +96,64 @@ _LOCKSTEP_FAMILIES = {
     "naive": "naive",
     "naive_vec": "naive",
 }
+
+
+#: Minimum wall-clock duration one dispatched chunk should represent: for
+#: very cheap items, chunks grow beyond the count-based default so pickling
+#: and queue round-trips stay amortized.
+MIN_CHUNK_SEC = 0.025
+
+#: Maximum wall-clock duration one dispatched chunk should represent.
+#: Progress callbacks fire as whole chunks stream back to the parent, so
+#: uncapped chunks on very large batches (a 10^5-trial shard split 4 ways
+#: is a 6000+-trial chunk) would go *minutes* between callbacks — starving
+#: sweep heartbeats, lease liveness, and resume granularity.
+MAX_CHUNK_SEC = 2.0
+
+#: Absolute chunk cap when no per-item cost estimate is available: bounds
+#: worst-case callback latency and the records held in flight per chunk.
+MAX_CHUNK_ITEMS = 512
+
+
+def resolve_workers(workers: Optional[int]) -> int:
+    """Clamp a worker count: ``None``/0/negatives mean serial."""
+    if workers is None or workers < 1:
+        return 1
+    return workers
+
+
+def default_chunksize(
+    num_items: int,
+    workers: int,
+    per_item_sec: Optional[float] = None,
+    min_chunk_sec: float = MIN_CHUNK_SEC,
+    max_chunk_sec: float = MAX_CHUNK_SEC,
+) -> int:
+    """Chunked dispatch: ~4 chunks per worker bounds scheduling overhead
+    while keeping the pool load-balanced when trial durations vary.
+
+    When the caller knows the per-item cost (the adaptive dispatcher's
+    probe measures it), chunks are additionally sized up to a minimum
+    duration target — capped at one chunk per worker so every worker still
+    gets work — and *down* to a maximum duration target, so progress
+    callbacks keep firing every few seconds on 10^5-item batches.  Without
+    a cost estimate the count-based heuristic applies under an absolute
+    ``MAX_CHUNK_ITEMS`` cap.
+    """
+    if workers <= 1:
+        return max(1, num_items)
+    size = max(1, math.ceil(num_items / (workers * 4)))
+    if per_item_sec is not None and per_item_sec > 0:
+        by_duration = math.ceil(min_chunk_sec / per_item_sec)
+        per_worker_cap = max(1, math.ceil(num_items / workers))
+        size = max(size, min(by_duration, per_worker_cap))
+        size = min(size, max(1, int(max_chunk_sec / per_item_sec)))
+    return min(size, MAX_CHUNK_ITEMS)
+
+
+def derive_sweep_seeds(base_seed: int, count: int) -> List[int]:
+    """Deterministic, well-separated per-trial seeds for a sweep."""
+    return [stable_hash_seed(base_seed, index) for index in range(count)]
 
 
 def usable_cpus() -> int:
@@ -182,8 +245,8 @@ class TrialExecutor:
         the stacked kernel can advance them in one set of arrays.  Trials
         needing per-trial machinery peel off to :meth:`run`: telemetry or
         an ambient trace session (the lockstep kernel carries no
-        observers), invariant audits, arrival schedules, non-lockstep
-        backends, or a missing numpy.
+        observers), invariant audits, arrival schedules, or non-lockstep
+        backends.
         """
         if not self.lockstep or self.telemetry:
             return None
@@ -191,10 +254,6 @@ class TrialExecutor:
         if family is None or spec.arrival:
             return None
         if family == "frontier" and spec.backend_params.get("audit"):
-            return None
-        from ..sim.soa import NUMPY_AVAILABLE
-
-        if not NUMPY_AVAILABLE:
             return None
         from ..telemetry.context import current_session
 
@@ -354,12 +413,9 @@ def _preload_lockstep() -> None:
     ``engine_lockstep`` plus ``numpy.ma`` (which ``np.unique`` loads
     lazily) on its first chunk, ~50 ms each.
     """
-    from ..sim.soa import NUMPY_AVAILABLE
+    import numpy.ma  # noqa: F401
 
-    if NUMPY_AVAILABLE:
-        import numpy.ma  # noqa: F401
-
-        from ..sim import engine_lockstep  # noqa: F401
+    from ..sim import engine_lockstep  # noqa: F401
 
 
 def _run_chunk(chunk: Sequence) -> List:
@@ -395,11 +451,24 @@ def run_spec_trials_batched(
     collect: bool = True,
     lockstep: bool = True,
 ):
-    """Batched spec sweep: warm serial, or chunked over a persistent pool.
+    """Run a list of :class:`~repro.scenarios.RunSpec`, one record per spec.
 
-    The implementation behind :func:`repro.experiments.run_spec_trials`;
-    see its docstring for the caller-facing contract.  ``dispatch`` picks
-    the strategy:
+    The one spec-list entry point, exported as
+    :func:`repro.experiments.run_spec_trials` (manifests go through
+    :func:`repro.sweeps.run_sweep`, which calls this per shard).  Each spec
+    runs through :func:`repro.scenarios.run_trial` (or
+    :func:`~repro.scenarios.run_cached` when ``cache`` names a cache
+    directory); a spec's outcome is a pure function of its content, so
+    records come back in spec order and are byte-identical under every
+    strategy and worker count.  Records are data-only: ``record.problem``
+    is ``None`` (the build lives in the warm cache, not on the record).
+
+    ``warm=True`` (the default) reuses one materialized problem per
+    scenario per process; ``warm=False`` forces a fresh build per trial.
+    ``telemetry=True`` runs every trial under its own telemetry session,
+    so each record carries ``result.telemetry`` counters and pipeline
+    ``timings``.  ``progress(done, total, record)`` fires in the parent
+    once per trial, in spec order.  ``dispatch`` picks the strategy:
 
     * ``"auto"`` (default) — clamp ``workers`` to usable CPUs, run a probe
       chunk in the parent to estimate per-trial cost, then either finish
@@ -409,9 +478,6 @@ def run_spec_trials_batched(
     * ``"pool"`` — force pool dispatch for every spec (no probe, no CPU
       clamp); used by tests and benchmarks that must exercise the pool
       machinery regardless of host shape.
-
-    Records come back in spec order and are byte-identical across every
-    strategy.
 
     ``collect=False`` switches to streaming mode for very large batches:
     each record is handed to ``progress`` exactly as usual but *not*
@@ -428,8 +494,6 @@ def run_spec_trials_batched(
     use it to measure the kernel's speedup; results are byte-identical
     either way).
     """
-    from .parallel import default_chunksize, resolve_workers
-
     if dispatch not in ("auto", "serial", "pool"):
         raise ValueError(
             f"dispatch must be 'auto', 'serial', or 'pool', got {dispatch!r}"

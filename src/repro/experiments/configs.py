@@ -272,7 +272,7 @@ def sweep_specs(
     ``(network, geometry, paths)`` triple once per worker and reuses it
     across the whole sweep.
     """
-    from .parallel import derive_sweep_seeds
+    from .batch import derive_sweep_seeds
 
     pinned = base.with_pinned_scenario()
     seeds = derive_sweep_seeds(

@@ -1,8 +1,9 @@
-"""Seeded multi-trial experiment runner.
+"""Seeded trial runners behind the scenario backends.
 
-Shared by the benchmark harness and the examples: builds the router for a
-problem, runs it (optionally under the invariant auditor), and collects
-per-trial records so benches only format tables.
+Each runner builds the router for a problem, runs it (optionally under the
+invariant auditor), and returns the trial's record; the lockstep runners
+do the same for a batch of seeds over one problem.  Multi-trial sweeps
+reach them through :func:`repro.experiments.run_spec_trials`.
 """
 
 from __future__ import annotations
@@ -133,12 +134,11 @@ def run_frontier_vec_trial(
     (same RNG stream derivations, same result digests) — see the
     equivalence contract in :mod:`repro.sim.engine_vec`.  Falls back to
     the reference engine when auditing is requested (the invariant
-    auditor needs the reference engine's post-step hooks) or when numpy
-    is unavailable.
+    auditor needs the reference engine's post-step hooks).
     """
-    from ..sim.engine_vec import VecEngine, numpy_available
+    from ..sim.engine_vec import VecEngine
 
-    if audit or not numpy_available():
+    if audit:
         return run_frontier_trial(
             problem,
             seed,
@@ -189,8 +189,8 @@ def run_frontier_trials_lockstep(
     reference :func:`run_frontier_trial`) with the same seed: the same RNG
     stream derivations feed one per-trial generator pair each, and the
     stacked kernel preserves every per-trial draw order — see
-    :mod:`repro.sim.engine_lockstep`.  Requires numpy and a problem
-    without an arrival schedule; callers peel such trials off to the
+    :mod:`repro.sim.engine_lockstep`.  Requires a problem without an
+    arrival schedule; callers peel such trials off to the
     per-trial paths.
     """
     from ..sim.engine_lockstep import LockstepEngine
@@ -255,17 +255,10 @@ def run_naive_vec_trial(
 
     Byte-identical to ``run_router_trial`` with a ``NaivePathRouter``
     factory and the same seed (the naive router draws no randomness of
-    its own, so only the engine stream matters).  Falls back to the
-    reference engine when numpy is unavailable.
+    its own, so only the engine stream matters).
     """
-    from ..sim.engine_vec import VecEngine, numpy_available
+    from ..sim.engine_vec import VecEngine
 
-    if not numpy_available():
-        from ..baselines import NaivePathRouter
-
-        return run_router_trial(
-            problem, lambda _seed: NaivePathRouter(), seed, max_steps
-        )
     engine = VecEngine.naive(problem, seed=stable_hash_seed(seed, 5))
     return engine.run(max_steps)
 
@@ -281,32 +274,3 @@ def run_router_trial(
     engine = Engine(problem, router, seed=stable_hash_seed(seed, 5))
     return engine.run(max_steps)
 
-
-def run_frontier_trials(
-    problem_factory: Callable[[int], RoutingProblem],
-    seeds: Sequence[int],
-    workers: int = 1,
-    chunksize: Optional[int] = None,
-    **kwargs,
-) -> List[TrialRecord]:
-    """One frontier trial per seed, each on a freshly generated problem.
-
-    ``workers > 1`` fans the seeds across a process pool (see
-    :mod:`repro.experiments.parallel`); every trial's RNG streams derive
-    from its own seed, so the records are identical to a serial run and
-    come back in seed order.  ``problem_factory`` must then be picklable.
-    """
-    if workers is not None and workers > 1:
-        from .parallel import run_frontier_trials_parallel
-
-        return run_frontier_trials_parallel(
-            problem_factory,
-            seeds,
-            workers=workers,
-            chunksize=chunksize,
-            **kwargs,
-        )
-    return [
-        run_frontier_trial(problem_factory(seed), seed=seed, **kwargs)
-        for seed in seeds
-    ]

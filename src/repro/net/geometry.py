@@ -85,8 +85,9 @@ class NetworkGeometry:
     def arrays(self):
         """Numpy views of the endpoint/level tables, built and cached lazily.
 
-        Imported on first use so the geometry stays loadable without numpy;
-        only the vectorized kernel (:mod:`repro.sim.engine_vec`) calls this.
+        Built on first use; only the vectorized kernels
+        (:mod:`repro.sim.engine_vec`, :mod:`repro.sim.engine_lockstep`) call
+        this.
         """
         if self._vec_arrays is None:
             from ..sim.soa import GeometryArrays

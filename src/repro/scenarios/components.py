@@ -3,7 +3,7 @@
 Importing this module (which :mod:`repro.scenarios` does automatically)
 populates the four registries with wrappers over the existing builders in
 :mod:`repro.net`, :mod:`repro.workloads`, :mod:`repro.paths`,
-:mod:`repro.baselines`, :mod:`repro.core`, and :mod:`repro.dynamic`.
+:mod:`repro.baselines`, :mod:`repro.core`, and :mod:`repro.traffic`.
 
 Conventions
 -----------
@@ -28,6 +28,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
+from ..baselines import GreedyHotPotatoRouter, NaivePathRouter
 from ..errors import ReproError, WorkloadError
 from ..net import (
     benes,
@@ -447,8 +450,7 @@ def _backend_frontier_vec(problem, seed: int, params: dict):
     """Frontier-frame algorithm on the vectorized array kernel.
 
     Same RunResult digests as ``frontier`` for any (problem, seed); falls
-    back to the reference engine when auditing is requested or numpy is
-    missing.
+    back to the reference engine when auditing is requested.
     """
     from ..experiments.runner import run_frontier_vec_trial
 
@@ -560,46 +562,87 @@ def _backend_bounded_buffer(problem, seed: int, params: dict):
     return result, None
 
 
+class DynamicNaiveRouter(NaivePathRouter):
+    """:class:`~repro.baselines.NaivePathRouter` under its dynamic-backend name.
+
+    The engine installs the problem's arrival schedule itself, so the
+    stock router needs no changes; the subclass exists because results
+    and trace headers record the router's class name.
+    """
+
+
+class DynamicGreedyRouter(GreedyHotPotatoRouter):
+    """:class:`~repro.baselines.GreedyHotPotatoRouter` under its dynamic-backend name."""
+
+
+def _latency_stats(result, arrival_times, path_lengths) -> dict:
+    """Latency (absorption - arrival) and hop-stretch summary of a dynamic run.
+
+    Undelivered packets are skipped; with nothing delivered every figure is
+    NaN.  Quantiles use numpy's default linear interpolation.
+    """
+    latencies = []
+    stretches = []
+    for pid, delivered_at in enumerate(result.delivery_times):
+        if delivered_at is None:
+            continue
+        latency = delivered_at - arrival_times[pid]
+        latencies.append(latency)
+        if path_lengths[pid] > 0:
+            stretches.append(latency / path_lengths[pid])
+    nan = float("nan")
+    mean = p50 = p95 = worst = nan
+    if latencies:
+        arr = np.asarray(latencies, dtype=float)
+        mean = float(arr.mean())
+        p50, p95 = (float(q) for q in np.quantile(arr, [0.5, 0.95]))
+        worst = float(arr.max())
+    return {
+        "mean_latency": mean,
+        "p50_latency": p50,
+        "p95_latency": p95,
+        "max_latency": worst,
+        "mean_hop_stretch": float(np.mean(stretches)) if stretches else nan,
+    }
+
+
 def _run_dynamic(net, seed: int, params: dict, greedy: bool):
-    from ..dynamic import (
-        DynamicGreedyRouter,
-        DynamicNaiveRouter,
-        arrivals_to_problem,
-        bernoulli_arrivals,
-        dynamic_stats,
-        offered_load,
-    )
     from ..sim import Engine
+    from ..traffic import (
+        BernoulliSource,
+        collect_arrivals,
+        offered_load,
+        problem_from_arrivals,
+    )
 
     rate = float(params.get("rate", 0.3))
     horizon = int(params.get("horizon", 200))
     drain = int(params.get("drain", 50000))
-    arrivals = bernoulli_arrivals(net, rate, horizon=horizon, seed=seed)
+    if drain < 0:
+        raise WorkloadError(f"drain must be >= 0, got {drain}")
+    arrivals = collect_arrivals(
+        BernoulliSource(net, rate, seed=seed, horizon=horizon)
+    )
     if not arrivals:
         raise WorkloadError(
             f"no arrivals generated on {net.name} at rate {rate} "
             f"over {horizon} steps (rate too low?)"
         )
-    problem, times = arrivals_to_problem(net, arrivals, seed=seed + 1)
+    problem, times = problem_from_arrivals(net, arrivals, seed=seed + 1)
     if greedy:
-        router = DynamicGreedyRouter(times, seed=seed + 2)
+        router = DynamicGreedyRouter(seed=seed + 2)
     else:
-        router = DynamicNaiveRouter(times)
-    engine = Engine(problem, router, seed=seed + 3)
-    result = engine.run(horizon + drain)
-    stats = dynamic_stats(result, times, [len(s.path) for s in problem])
+        router = DynamicNaiveRouter()
+    result = Engine(problem, router, seed=seed + 3).run(horizon + drain)
+    stats = _latency_stats(result, times, [len(s.path) for s in problem])
     result.extra.update(
         {
             "rate": rate,
             "horizon": float(horizon),
-            "offered": float(stats.offered),
-            "delivered": float(stats.delivered),
-            "drained": 1.0 if stats.drained else 0.0,
-            "mean_latency": float(stats.mean_latency),
-            "p50_latency": float(stats.p50_latency),
-            "p95_latency": float(stats.p95_latency),
-            "max_latency": float(stats.max_latency),
-            "mean_hop_stretch": float(stats.mean_hop_stretch),
+            "offered": float(result.num_packets),
+            "delivered": float(result.delivered),
+            "drained": 1.0 if result.all_delivered else 0.0,
+            **stats,
             "offered_load": float(offered_load(net, arrivals, horizon)),
         }
     )

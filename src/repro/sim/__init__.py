@@ -5,12 +5,8 @@ from .events import EventKind, TraceEvent, TraceRecorder
 from .router import DesiredMove, Router
 from .metrics import RunResult
 from .engine import Engine, Slot
-from .soa import NUMPY_AVAILABLE, FrontierArrays, GeometryArrays, PacketArrays
-from .engine_vec import (
-    VecEngine,
-    VectorBackendUnavailable,
-    numpy_available,
-)
+from .soa import FrontierArrays, GeometryArrays, PacketArrays
+from .engine_vec import VecEngine
 
 __all__ = [
     "Packet",
@@ -23,11 +19,8 @@ __all__ = [
     "RunResult",
     "Engine",
     "Slot",
-    "NUMPY_AVAILABLE",
     "GeometryArrays",
     "PacketArrays",
     "FrontierArrays",
     "VecEngine",
-    "VectorBackendUnavailable",
-    "numpy_available",
 ]

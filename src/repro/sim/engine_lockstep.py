@@ -46,16 +46,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..errors import CapacityError, ReproError, SimulationError
 from ..rng import RngLike, make_rng
-from .engine_vec import require_numpy
 from .metrics import RunResult
 from .soa import StackedFrontierArrays, StackedPacketArrays
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via monkeypatched flag
-    np = None
 
 _PENDING = 0
 _ACTIVE = 1
@@ -101,7 +97,6 @@ class LockstepEngine:
         enable_fast_forward: bool = True,
         geometry=None,
     ) -> None:
-        require_numpy()
         if getattr(problem, "arrival_schedule", None) is not None:
             raise ReproError(
                 "the lockstep kernel does not support arrival schedules; "
@@ -220,7 +215,6 @@ class LockstepEngine:
         conditioned assignments) to skip the draw, exactly as passing
         ``set_of`` does on the per-trial engines.
         """
-        require_numpy()
         from ..core.frontier import assign_frontier_sets
 
         if params.depth != problem.net.depth:

@@ -40,9 +40,7 @@ differential fuzz tests in ``tests/test_engine_vec.py`` pin the contract.
 
 Not supported (callers fall back to the reference engine): post-step hooks
 (the invariant auditor), routers other than the two above, and
-``collect_round_stats``.  When numpy is unavailable the constructor raises
-:class:`VectorBackendUnavailable` with an actionable message; the scenario
-backend catches this and falls back silently.
+``collect_round_stats``.
 
 Performance
 -----------
@@ -58,18 +56,15 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..errors import CapacityError, ReproError, SimulationError
+import numpy as np
+
+from ..errors import CapacityError, SimulationError
 from ..rng import RngLike, make_rng
 from ..telemetry.context import current_session
 from ..types import Direction
 from .events import EventKind, TraceEvent
 from .metrics import RunResult
-from .soa import NUMPY_AVAILABLE, FrontierArrays, PacketArrays
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via monkeypatched flag
-    np = None
+from .soa import FrontierArrays, PacketArrays
 
 Observer = Callable[[TraceEvent], None]
 
@@ -80,25 +75,6 @@ _WAIT = 1  # PacketState values (the value IS the priority)
 _NORMAL = 2
 _EXCITED = 3
 _STATE_NAMES = {_WAIT: "wait", _NORMAL: "normal", _EXCITED: "excited"}
-
-
-class VectorBackendUnavailable(ReproError):
-    """The vectorized kernel was requested but cannot run here."""
-
-
-def numpy_available() -> bool:
-    """Whether the vectorized kernel can run in this interpreter."""
-    return NUMPY_AVAILABLE and np is not None
-
-
-def require_numpy() -> None:
-    """Raise a clear, actionable error when numpy is missing."""
-    if not numpy_available():
-        raise VectorBackendUnavailable(
-            "the vectorized engine backend requires numpy; install it with "
-            "'pip install repro[fast]' or select the reference backend "
-            "(backend='frontier') instead"
-        )
 
 
 class VecEngine:
@@ -127,7 +103,6 @@ class VecEngine:
         q: float = 0.0,
         set_of: Optional[Sequence[int]] = None,
     ) -> None:
-        require_numpy()
         self.problem = problem
         self.net = problem.net
         self.packets = problem.packets  # specs; len() feeds telemetry
@@ -254,7 +229,6 @@ class VecEngine:
         frontier-set assignment is drawn from ``router_seed`` exactly when
         ``set_of`` is omitted, leaving the excitation-coin stream aligned.
         """
-        require_numpy()
         from ..core.frontier import assign_frontier_sets
 
         if params.depth != problem.net.depth:
@@ -1285,9 +1259,4 @@ class VecEngine:
         )
 
 
-__all__ = [
-    "VecEngine",
-    "VectorBackendUnavailable",
-    "numpy_available",
-    "require_numpy",
-]
+__all__ = ["VecEngine"]

@@ -36,13 +36,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-try:  # pragma: no cover - numpy is a hard dependency today, but the
-    import numpy as np  # vectorized kernel stays an optional extra.
-
-    NUMPY_AVAILABLE = True
-except ImportError:  # pragma: no cover
-    np = None
-    NUMPY_AVAILABLE = False
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..net.geometry import NetworkGeometry
@@ -309,7 +303,6 @@ class FrontierArrays:
 
 
 __all__ = [
-    "NUMPY_AVAILABLE",
     "GeometryArrays",
     "PacketArrays",
     "FrontierArrays",

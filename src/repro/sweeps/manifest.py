@@ -92,7 +92,7 @@ class SweepManifest:
         trial's master seed: every trial then routes an independent
         instance (the instance-distribution sweep).
         """
-        from ..experiments.parallel import derive_sweep_seeds
+        from ..experiments.batch import derive_sweep_seeds
 
         if num_trials < 1:
             raise ReproError(f"num_trials must be >= 1, got {num_trials}")

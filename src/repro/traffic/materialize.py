@@ -28,9 +28,8 @@ def problem_from_arrivals(
     """Arrivals -> (multi-source problem with attached schedule, times).
 
     Packet ``k`` is arrival ``k``; its path is a random monotone path drawn
-    per packet (one draw sequence, in arrival order — byte-identical to the
-    legacy ``arrivals_to_problem``).  The returned problem carries its
-    :class:`ArrivalSchedule` on ``problem.arrival_schedule``.
+    per packet (one draw sequence, in arrival order).  The returned problem
+    carries its :class:`ArrivalSchedule` on ``problem.arrival_schedule``.
     """
     rng = make_rng(seed)
     specs = []

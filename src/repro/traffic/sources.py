@@ -5,9 +5,8 @@ simulators, an :class:`InjectionSource` produces :class:`Arrival` records
 step by step, independent of any router or engine.  Sources are *streams*:
 ``arrivals_at`` must be called for consecutive steps ``t = 0, 1, 2, ...``
 so that seeded sources draw their RNG in a reproducible order (the
-Bernoulli source replicates the legacy ``bernoulli_arrivals`` draw
-sequence exactly — one ``random(len(sources))`` batch per step, one
-``integers`` destination draw per hit).
+Bernoulli source draws one ``random(len(sources))`` batch per step and one
+``integers`` destination per hit).
 
 Four concrete sources cover the setting:
 
@@ -93,8 +92,7 @@ class BernoulliSource:
     ``rate`` is the injection probability per eligible source per step;
     aggregate offered load is ``rate * |sources|`` packets/step.  Each
     arrival's destination is uniform over forward-reachable nodes at least
-    ``min_hops`` ahead.  Draw-for-draw identical to the legacy
-    ``repro.dynamic.bernoulli_arrivals`` stream.
+    ``min_hops`` ahead.
     """
 
     def __init__(

@@ -173,6 +173,13 @@ class TestCommands:
         assert "drained" in out
         assert "latency" in out
 
+    def test_dynamic_rejects_negative_drain(self, capsys):
+        code = main(["dynamic", "--net", "butterfly:3", "--drain", "-500"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "drain" in out
+        assert "nan" not in out
+
 
 class TestSpecCommands:
     def test_list_command(self, capsys):

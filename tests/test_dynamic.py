@@ -1,26 +1,51 @@
-"""Tests for the dynamic (continuous-injection) routing extension."""
+"""Tests for dynamic (continuous-injection) routing.
+
+Traffic comes from :mod:`repro.traffic` (a Bernoulli source materialized
+into a schedule-carrying problem); the ``dynamic_*`` scenario backends run
+it on the stock deflection routers and report latency statistics in
+``result.extra``.
+"""
 
 import math
 
 import pytest
 
-from repro.dynamic import (
-    Arrival,
+from repro.errors import WorkloadError
+from repro.experiments import dynamic_spec
+from repro.net import butterfly
+from repro.scenarios import run_trial
+from repro.scenarios.components import (
     DynamicGreedyRouter,
     DynamicNaiveRouter,
-    arrivals_to_problem,
-    bernoulli_arrivals,
-    dynamic_stats,
-    offered_load,
+    _latency_stats,
 )
-from repro.errors import WorkloadError
-from repro.net import butterfly
 from repro.sim import Engine
+from repro.traffic import (
+    Arrival,
+    ArrivalSchedule,
+    BernoulliSource,
+    collect_arrivals,
+    offered_load,
+    problem_from_arrivals,
+)
 
 
 @pytest.fixture
 def net():
     return butterfly(3)
+
+
+def bernoulli(net, rate, horizon, seed=None, **kwargs):
+    return collect_arrivals(
+        BernoulliSource(net, rate, seed=seed, horizon=horizon, **kwargs)
+    )
+
+
+def naive_spec(rate, horizon, drain, seed):
+    """A ``dynamic_naive`` run on butterfly(3)."""
+    return dynamic_spec(
+        3, rate=rate, horizon=horizon, drain=drain, seed=seed, greedy=False
+    )
 
 
 def _fixture_result(delivery_times, delivered):
@@ -49,24 +74,22 @@ def _fixture_result(delivery_times, delivered):
 
 class TestArrivals:
     def test_rate_controls_volume(self, net):
-        low = bernoulli_arrivals(net, 0.05, horizon=200, seed=1)
-        high = bernoulli_arrivals(net, 0.5, horizon=200, seed=1)
+        low = bernoulli(net, 0.05, horizon=200, seed=1)
+        high = bernoulli(net, 0.5, horizon=200, seed=1)
         assert len(high) > 3 * len(low)
 
     def test_arrival_fields_valid(self, net):
-        for arrival in bernoulli_arrivals(net, 0.2, horizon=50, seed=2):
+        for arrival in bernoulli(net, 0.2, horizon=50, seed=2):
             assert 0 <= arrival.time < 50
             assert net.level(arrival.destination) > net.level(arrival.source)
 
     def test_source_levels_respected(self, net):
-        arrivals = bernoulli_arrivals(
-            net, 0.3, horizon=50, seed=3, source_levels=[0]
-        )
+        arrivals = bernoulli(net, 0.3, horizon=50, seed=3, source_levels=[0])
         assert arrivals
         assert all(net.level(a.source) == 0 for a in arrivals)
 
     def test_min_hops(self, net):
-        arrivals = bernoulli_arrivals(net, 0.3, horizon=50, seed=4, min_hops=3)
+        arrivals = bernoulli(net, 0.3, horizon=50, seed=4, min_hops=3)
         assert all(
             net.level(a.destination) - net.level(a.source) >= 3
             for a in arrivals
@@ -74,18 +97,18 @@ class TestArrivals:
 
     def test_rate_validated(self, net):
         with pytest.raises(WorkloadError):
-            bernoulli_arrivals(net, 1.5, horizon=10)
+            BernoulliSource(net, 1.5, horizon=10)
         with pytest.raises(WorkloadError):
-            bernoulli_arrivals(net, 0.1, horizon=0)
+            BernoulliSource(net, 0.1, horizon=0)
 
     def test_reproducible(self, net):
-        a = bernoulli_arrivals(net, 0.2, horizon=100, seed=9)
-        b = bernoulli_arrivals(net, 0.2, horizon=100, seed=9)
+        a = bernoulli(net, 0.2, horizon=100, seed=9)
+        b = bernoulli(net, 0.2, horizon=100, seed=9)
         assert a == b
 
     def test_offered_load_monotone(self, net):
-        low = bernoulli_arrivals(net, 0.05, horizon=100, seed=1)
-        high = bernoulli_arrivals(net, 0.5, horizon=100, seed=1)
+        low = bernoulli(net, 0.05, horizon=100, seed=1)
+        high = bernoulli(net, 0.5, horizon=100, seed=1)
         assert offered_load(net, high, 100) > offered_load(net, low, 100)
 
 
@@ -95,20 +118,21 @@ class TestProblemConversion:
             Arrival(0, net.nodes_at_level(0)[0], net.nodes_at_level(3)[0]),
             Arrival(5, net.nodes_at_level(0)[0], net.nodes_at_level(3)[1]),
         ]
-        problem, times = arrivals_to_problem(net, arrivals, seed=0)
+        problem, times = problem_from_arrivals(net, arrivals, seed=0)
         assert problem.num_packets == 2
         assert times == [0, 5]
+        assert list(problem.arrival_schedule.times) == [0, 5]
 
 
 class TestDynamicRouting:
     @pytest.mark.parametrize("router_cls", [DynamicNaiveRouter, DynamicGreedyRouter])
     def test_packets_respect_arrival_times(self, net, router_cls):
-        arrivals = bernoulli_arrivals(net, 0.2, horizon=60, seed=5)
-        problem, times = arrivals_to_problem(net, arrivals, seed=6)
+        arrivals = bernoulli(net, 0.2, horizon=60, seed=5)
+        problem, times = problem_from_arrivals(net, arrivals, seed=6)
         router = (
-            router_cls(times)
+            router_cls()
             if router_cls is DynamicNaiveRouter
-            else router_cls(times, seed=7)
+            else router_cls(seed=7)
         )
         engine = Engine(problem, router, seed=8)
         result = engine.run(60 + 5000)
@@ -116,87 +140,75 @@ class TestDynamicRouting:
         for pid, packet in enumerate(engine.packets):
             assert packet.injected_at >= times[pid]
 
-    def test_high_load_does_not_crash(self, net):
+    def test_high_load_does_not_crash(self):
         """Regression: pending injections must never starve deflected
         residents of slots (the revocation rule)."""
-        arrivals = bernoulli_arrivals(net, 0.9, horizon=100, seed=11)
-        problem, times = arrivals_to_problem(net, arrivals, seed=12)
-        engine = Engine(problem, DynamicNaiveRouter(times), seed=13)
-        result = engine.run(100 + 30000)
+        result = run_trial(naive_spec(0.9, 100, 30000, seed=11)).result
         assert result.all_delivered
         assert result.unsafe_deflections == 0
 
-    def test_latency_grows_with_load(self, net):
-        stats_by_rate = {}
-        for rate in (0.1, 0.8):
-            arrivals = bernoulli_arrivals(net, rate, horizon=150, seed=21)
-            problem, times = arrivals_to_problem(net, arrivals, seed=22)
-            engine = Engine(problem, DynamicNaiveRouter(times), seed=23)
-            result = engine.run(150 + 30000)
-            assert result.all_delivered
-            stats_by_rate[rate] = dynamic_stats(
-                result, times, [len(s.path) for s in problem]
-            )
-        assert (
-            stats_by_rate[0.8].mean_latency > stats_by_rate[0.1].mean_latency
-        )
+    def test_latency_grows_with_load(self):
+        extras = {
+            rate: run_trial(naive_spec(rate, 150, 30000, seed=21)).result.extra
+            for rate in (0.1, 0.8)
+        }
+        assert all(extra["drained"] == 1.0 for extra in extras.values())
+        assert extras[0.8]["mean_latency"] > extras[0.1]["mean_latency"]
 
     def test_schedule_length_validated(self, net):
-        arrivals = bernoulli_arrivals(net, 0.2, horizon=30, seed=31)
-        problem, times = arrivals_to_problem(net, arrivals, seed=32)
+        arrivals = bernoulli(net, 0.2, horizon=30, seed=31)
+        problem, times = problem_from_arrivals(net, arrivals, seed=32)
+        problem.arrival_schedule = ArrivalSchedule(times[:-1])
         with pytest.raises(WorkloadError):
-            Engine(problem, DynamicNaiveRouter(times[:-1]), seed=33)
+            Engine(problem, DynamicNaiveRouter(), seed=33)
 
     def test_negative_times_rejected(self):
         with pytest.raises(WorkloadError):
-            DynamicNaiveRouter([-1, 0])
+            ArrivalSchedule([-1, 0])
+
+    def test_negative_drain_rejected(self):
+        with pytest.raises(WorkloadError, match="drain"):
+            run_trial(naive_spec(0.3, 50, -500, seed=1))
 
 
 class TestDynamicStats:
-    def test_stats_fields(self, net):
-        arrivals = bernoulli_arrivals(net, 0.2, horizon=50, seed=41)
-        problem, times = arrivals_to_problem(net, arrivals, seed=42)
-        engine = Engine(problem, DynamicNaiveRouter(times), seed=43)
-        result = engine.run(50 + 5000)
-        stats = dynamic_stats(result, times, [len(s.path) for s in problem])
-        assert stats.drained
-        assert stats.offered == problem.num_packets
-        assert stats.mean_hop_stretch >= 1.0
-        assert stats.p50_latency <= stats.p95_latency <= stats.max_latency
-        assert len(stats.as_row()) == 7
+    def test_stats_fields(self):
+        result = run_trial(naive_spec(0.2, 50, 5000, seed=41)).result
+        extra = result.extra
+        assert extra["drained"] == 1.0
+        assert extra["offered"] == result.num_packets
+        assert extra["delivered"] == result.delivered
+        assert extra["mean_hop_stretch"] >= 1.0
+        assert extra["p50_latency"] <= extra["p95_latency"] <= extra["max_latency"]
+        assert 0.0 < extra["offered_load"] < 1.0
 
-    def test_undelivered_handled(self, net):
-        arrivals = bernoulli_arrivals(net, 0.2, horizon=50, seed=51)
-        problem, times = arrivals_to_problem(net, arrivals, seed=52)
-        engine = Engine(problem, DynamicNaiveRouter(times), seed=53)
-        result = engine.run(3)  # cut off early
-        stats = dynamic_stats(result, times)
-        assert not stats.drained
+    def test_undelivered_handled(self):
+        # No drain: packets arriving in the last steps cannot finish.
+        extra = run_trial(naive_spec(0.2, 50, 0, seed=51)).result.extra
+        assert extra["drained"] == 0.0
+        assert extra["delivered"] < extra["offered"]
 
     def test_zero_delivered(self):
         """All-NaN latencies, not a crash, when nothing got through."""
         result = _fixture_result(delivery_times=[None, None], delivered=0)
-        stats = dynamic_stats(result, [0, 1], [2, 2])
-        assert stats.offered == 2
-        assert stats.delivered == 0
-        assert not stats.drained
-        assert math.isnan(stats.mean_latency)
-        assert math.isnan(stats.p50_latency)
-        assert math.isnan(stats.p95_latency)
-        assert math.isnan(stats.max_latency)
-        assert math.isnan(stats.mean_hop_stretch)
-        assert stats.as_row()[2] == "NO"
+        stats = _latency_stats(result, [0, 1], [2, 2])
+        assert set(stats) == {
+            "mean_latency",
+            "p50_latency",
+            "p95_latency",
+            "max_latency",
+            "mean_hop_stretch",
+        }
+        assert all(math.isnan(value) for value in stats.values())
 
-    def test_single_step_run(self, net):
+    def test_single_step_run(self):
         """A run cut off after one step is summarized, mostly undelivered."""
-        arrivals = bernoulli_arrivals(net, 0.3, horizon=20, seed=61)
-        problem, times = arrivals_to_problem(net, arrivals, seed=62)
-        engine = Engine(problem, DynamicNaiveRouter(times), seed=63)
-        result = engine.run(1)
-        stats = dynamic_stats(result, times, [len(s.path) for s in problem])
-        assert stats.offered == problem.num_packets
-        assert stats.delivered == result.delivered
-        assert not stats.drained
+        result = run_trial(naive_spec(0.3, 1, 0, seed=61)).result
+        extra = result.extra
+        assert result.steps_executed == 1
+        assert extra["offered"] == result.num_packets > 0
+        assert extra["delivered"] == result.delivered
+        assert extra["drained"] == 0.0
 
     def test_percentiles_hand_computed(self):
         """Latency percentiles against a hand-computed fixture.
@@ -206,21 +218,19 @@ class TestDynamicStats:
         sorted [4, 6, 8, 9] are p50 = 7.0 and p95 = 8.85.
         """
         result = _fixture_result(delivery_times=[4, 16, 9, 13], delivered=4)
-        stats = dynamic_stats(result, [0, 10, 0, 5], [2, 3, 3, 4])
-        assert stats.drained
-        assert stats.mean_latency == pytest.approx(6.75)
-        assert stats.p50_latency == pytest.approx(7.0)
-        assert stats.p95_latency == pytest.approx(8.85)
-        assert stats.max_latency == 9.0
+        stats = _latency_stats(result, [0, 10, 0, 5], [2, 3, 3, 4])
+        assert stats["mean_latency"] == pytest.approx(6.75)
+        assert stats["p50_latency"] == pytest.approx(7.0)
+        assert stats["p95_latency"] == pytest.approx(8.85)
+        assert stats["max_latency"] == 9.0
         # stretches: 4/2, 6/3, 9/3, 8/4 -> mean of [2, 2, 3, 2] = 2.25
-        assert stats.mean_hop_stretch == pytest.approx(2.25)
+        assert stats["mean_hop_stretch"] == pytest.approx(2.25)
 
     def test_partial_delivery_skips_lost_packets(self):
         result = _fixture_result(delivery_times=[3, None, 7], delivered=2)
-        stats = dynamic_stats(result, [0, 0, 2], [3, 3, 3])
-        assert stats.delivered == 2
-        assert stats.mean_latency == pytest.approx(4.0)  # [3, 5]
-        assert stats.max_latency == 5.0
+        stats = _latency_stats(result, [0, 0, 2], [3, 3, 3])
+        assert stats["mean_latency"] == pytest.approx(4.0)  # [3, 5]
+        assert stats["max_latency"] == 5.0
 
 
 class TestOfferedLoad:

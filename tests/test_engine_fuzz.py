@@ -9,7 +9,6 @@ router and check exactly that.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -134,10 +133,7 @@ def test_vectorized_kernel_matches_reference_under_fuzz(problem, seed):
     from dataclasses import asdict
 
     from repro.experiments import run_frontier_trial, run_frontier_vec_trial
-    from repro.sim import numpy_available
 
-    if not numpy_available():
-        pytest.skip("vectorized backend requires numpy")
     ref = run_frontier_trial(problem, seed)
     vec = run_frontier_vec_trial(problem, seed)
     assert asdict(ref.result) == asdict(vec.result)

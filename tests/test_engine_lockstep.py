@@ -39,7 +39,6 @@ from repro.experiments.batch import (
 from repro.net import random_leveled
 from repro.paths import select_paths_random
 from repro.scenarios import RunSpec
-from repro.sim import numpy_available
 from repro.sweeps import (
     SweepHeartbeat,
     SweepManifest,
@@ -48,10 +47,6 @@ from repro.sweeps import (
 )
 from repro.telemetry import TelemetrySession
 from repro.workloads import random_many_to_one
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="lockstep backend requires numpy"
-)
 
 #: The widths the issue pins: singleton, pair, odd straggler-prone width,
 #: and the executor's full batch width.
@@ -97,7 +92,6 @@ def lockstep_instance(draw):
 # ------------------------------------------------- fuzz: kernel byte-identity
 
 
-@needs_numpy
 @pytest.mark.parametrize("width", WIDTHS)
 def test_frontier_lockstep_matches_serial_across_widths(width):
     problem = butterfly_random_instance(4, seed=7)
@@ -109,7 +103,6 @@ def test_frontier_lockstep_matches_serial_across_widths(width):
         assert_results_identical(ref.result, rec.result, f"(seed {seed})")
 
 
-@needs_numpy
 @pytest.mark.parametrize("width", WIDTHS)
 def test_naive_lockstep_matches_serial_across_widths(width):
     problem = butterfly_random_instance(3, seed=5)
@@ -123,7 +116,6 @@ def test_naive_lockstep_matches_serial_across_widths(width):
         assert_results_identical(ref, result, f"(seed {seed})")
 
 
-@needs_numpy
 @given(
     lockstep_instance(),
     st.integers(min_value=1, max_value=7),
@@ -141,7 +133,6 @@ def test_frontier_lockstep_fuzz(problem, width, seed0, fast_forward):
         assert_results_identical(ref.result, rec.result, f"(seed {seed})")
 
 
-@needs_numpy
 def test_condition_sets_lockstep_identical():
     problem = butterfly_random_instance(4, seed=99)
     seeds = [0, 5, 42]
@@ -151,7 +142,6 @@ def test_condition_sets_lockstep_identical():
         assert_results_identical(ref.result, rec.result, f"(seed {seed})")
 
 
-@needs_numpy
 def test_straggler_trials_do_not_perturb_the_batch():
     """Hot-row contention makes finish times diverge across seeds, so
     trials quiesce and drop out of the stacked arrays mid-batch; every
@@ -169,7 +159,6 @@ def test_straggler_trials_do_not_perturb_the_batch():
 # ------------------------------------------------ executor: grouping/peel-off
 
 
-@needs_numpy
 def test_executor_groups_homogeneous_chunks():
     specs = sweep_specs(base_spec(), 10)
     lockstep = TrialExecutor()
@@ -182,7 +171,6 @@ def test_executor_groups_homogeneous_chunks():
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
 
 
-@needs_numpy
 def test_executor_caps_group_width():
     specs = sweep_specs(base_spec(), LOCKSTEP_MAX_TRIALS + LOCKSTEP_MIN_TRIALS)
     records = TrialExecutor().run_chunk(specs)
@@ -195,7 +183,6 @@ def test_executor_caps_group_width():
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
 
 
-@needs_numpy
 @pytest.mark.parametrize("width", [1, LOCKSTEP_MIN_TRIALS - 1])
 def test_narrow_groups_run_per_trial(width):
     """Groups narrower than LOCKSTEP_MIN_TRIALS skip the stacked kernel
@@ -209,7 +196,6 @@ def test_narrow_groups_run_per_trial(width):
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
 
 
-@needs_numpy
 def test_executor_mixed_chunk_preserves_order_and_identity():
     """Ineligible specs interleaved with homogeneous runs split the chunk:
     each frontier run locksteps, the naive spec and the different-scenario
@@ -229,7 +215,6 @@ def test_executor_mixed_chunk_preserves_order_and_identity():
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
 
 
-@needs_numpy
 def test_telemetry_peels_off_to_per_trial_path():
     """Telemetry needs per-trial counter isolation, which the stacked
     kernel cannot provide: the executor must peel those trials off, and
@@ -244,7 +229,6 @@ def test_telemetry_peels_off_to_per_trial_path():
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
 
 
-@needs_numpy
 def test_ambient_session_peels_off_and_traces_identically():
     """An ambient telemetry/trace session disables lockstep grouping (the
     stacked kernel carries no observers); the session must end up with the
@@ -263,7 +247,6 @@ def test_ambient_session_peels_off_and_traces_identically():
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
 
 
-@needs_numpy
 def test_audit_specs_peel_off():
     specs = [
         s.with_params(audit=True) for s in sweep_specs(base_spec(), 2)
@@ -274,7 +257,6 @@ def test_audit_specs_peel_off():
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
 
 
-@needs_numpy
 def test_cache_hits_peel_out_of_the_group(tmp_path):
     """Disk hits come back as cached records; only the misses lockstep,
     and the stored bytes match what the per-trial path would store."""
@@ -294,7 +276,6 @@ def test_cache_hits_peel_out_of_the_group(tmp_path):
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
 
 
-@needs_numpy
 def test_run_spec_trials_batched_lockstep_toggle_identical():
     specs = sweep_specs(base_spec(), 9)
     fast = run_spec_trials_batched(specs, workers=1)
@@ -306,7 +287,6 @@ def test_run_spec_trials_batched_lockstep_toggle_identical():
 # --------------------------------------------------- sweeps: shard identity
 
 
-@needs_numpy
 class TestSweepShardIdentity:
     #: shards of 10 and 9 trials, both wide enough to lockstep; a resume
     #: two trials into shard 0 leaves a group of exactly LOCKSTEP_MIN_TRIALS

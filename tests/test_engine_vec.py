@@ -6,8 +6,8 @@ naive) the vectorized kernel consumes the same RNG streams in the same
 order as the reference :class:`~repro.sim.Engine`, so every observable —
 delivery times, deflection counts, telemetry counters, full trace event
 streams — must match exactly.  These tests fuzz that contract over
-random leveled instances and pinned dense/contended ones, and check the
-graceful-degradation path when numpy is missing.
+random leveled instances and pinned dense/contended ones, and check that
+audited runs fall back to the reference engine.
 """
 
 from dataclasses import asdict
@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.sim.engine_vec as engine_vec_mod
 from repro.baselines import NaivePathRouter
 from repro.core import AlgorithmParams, FrontierFrameRouter
 from repro.experiments import (
@@ -30,20 +29,9 @@ from repro.experiments import (
 from repro.net import layered_complete, random_leveled
 from repro.paths import select_paths_random
 from repro.rng import stable_hash_seed
-from repro.sim import (
-    Engine,
-    TraceRecorder,
-    VecEngine,
-    VectorBackendUnavailable,
-    numpy_available,
-)
+from repro.sim import Engine, TraceRecorder, VecEngine
 from repro.telemetry import TelemetrySession
 from repro.workloads import random_many_to_one
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="vectorized backend requires numpy"
-)
-
 
 @st.composite
 def vec_instance(draw):
@@ -73,7 +61,6 @@ def assert_results_identical(ref, vec):
 # ------------------------------------------------------------ fuzz: results
 
 
-@needs_numpy
 @given(
     vec_instance(),
     st.integers(min_value=0, max_value=2**31 - 1),
@@ -86,7 +73,6 @@ def test_frontier_vec_matches_reference(problem, seed, fast_forward):
     assert_results_identical(ref.result, vec.result)
 
 
-@needs_numpy
 @given(vec_instance(), st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=15, deadline=None)
 def test_naive_vec_matches_reference(problem, seed):
@@ -95,7 +81,6 @@ def test_naive_vec_matches_reference(problem, seed):
     assert_results_identical(ref, vec)
 
 
-@needs_numpy
 @pytest.mark.parametrize("seed", [0, 5, 42])
 def test_condition_sets_identical(seed):
     problem = butterfly_random_instance(4, seed=99)
@@ -134,7 +119,6 @@ def _traced_frontier(problem, seed, fast_forward):
     return ref, vec, ref_rec.events, vec_rec.events
 
 
-@needs_numpy
 @given(vec_instance(), st.booleans())
 @settings(max_examples=10, deadline=None)
 def test_frontier_trace_streams_identical(problem, fast_forward):
@@ -143,7 +127,6 @@ def test_frontier_trace_streams_identical(problem, fast_forward):
     assert ref_events == vec_events
 
 
-@needs_numpy
 def test_naive_trace_streams_identical_under_deflection():
     """Hotrow forces sustained contention, so deflections are traced too."""
     problem = butterfly_hotrow_instance(5, 24, seed=3)
@@ -168,7 +151,6 @@ def test_naive_trace_streams_identical_under_deflection():
 # ---------------------------------------------------------- fuzz: telemetry
 
 
-@needs_numpy
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_telemetry_counters_identical_dense(seed):
     """Dense many-to-one contention: counters must agree event for event."""
@@ -185,34 +167,9 @@ def test_telemetry_counters_identical_dense(seed):
     assert ref_tel.counters.to_dict() == vec_tel.counters.to_dict()
 
 
-# -------------------------------------------------- graceful numpy fallback
+# ------------------------------------------------------ audit fallback
 
 
-def test_vec_engine_unavailable_raises_actionable_error(monkeypatch):
-    monkeypatch.setattr(engine_vec_mod, "NUMPY_AVAILABLE", False)
-    problem = butterfly_random_instance(3, seed=1)
-    with pytest.raises(VectorBackendUnavailable) as excinfo:
-        VecEngine.naive(problem, seed=0)
-    message = str(excinfo.value)
-    assert "pip install repro[fast]" in message
-    assert "backend='frontier'" in message
-
-
-def test_runner_falls_back_to_reference_without_numpy(monkeypatch):
-    monkeypatch.setattr(engine_vec_mod, "NUMPY_AVAILABLE", False)
-    problem = butterfly_random_instance(3, seed=1)
-    ref = run_frontier_trial(problem, 7)
-    vec = run_frontier_vec_trial(problem, 7)  # must not raise
-    assert_results_identical(ref.result, vec.result)
-
-    naive_ref = run_router_trial(
-        problem, lambda _s: NaivePathRouter(), 7, 5000
-    )
-    naive_vec = run_naive_vec_trial(problem, 7, 5000)
-    assert_results_identical(naive_ref, naive_vec)
-
-
-@needs_numpy
 def test_audit_requests_fall_back_to_reference():
     """The invariant auditor needs reference post-step hooks; audit=True
     must transparently run the reference engine and return a report."""

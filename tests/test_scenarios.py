@@ -278,23 +278,27 @@ def _legacy_bounded_buffer():
 
 
 def _legacy_dynamic(greedy: bool):
-    # The historical ``repro dynamic`` pipeline: seeds seed..seed+3.
-    from repro.dynamic import (
-        DynamicGreedyRouter,
-        DynamicNaiveRouter,
-        arrivals_to_problem,
-        bernoulli_arrivals,
-    )
+    # The historical ``repro dynamic`` pipeline on the traffic primitives:
+    # arrivals, paths, router, and engine seeded seed..seed+3.  Results
+    # record the router's class name, hence the two local subclasses.
+    from repro.baselines import GreedyHotPotatoRouter, NaivePathRouter
     from repro.sim import Engine
+    from repro.traffic import BernoulliSource, collect_arrivals, problem_from_arrivals
+
+    class DynamicNaiveRouter(NaivePathRouter):
+        pass
+
+    class DynamicGreedyRouter(GreedyHotPotatoRouter):
+        pass
 
     seed = PINNED_SEED
     net = butterfly(4)
-    arrivals = bernoulli_arrivals(net, 0.3, horizon=120, seed=seed)
-    problem, times = arrivals_to_problem(net, arrivals, seed=seed + 1)
+    arrivals = collect_arrivals(BernoulliSource(net, 0.3, seed=seed, horizon=120))
+    problem, _ = problem_from_arrivals(net, arrivals, seed=seed + 1)
     if greedy:
-        router = DynamicGreedyRouter(times, seed=seed + 2)
+        router = DynamicGreedyRouter(seed=seed + 2)
     else:
-        router = DynamicNaiveRouter(times)
+        router = DynamicNaiveRouter()
     return Engine(problem, router, seed=seed + 3).run(120 + 50000)
 
 

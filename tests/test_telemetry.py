@@ -24,7 +24,6 @@ from repro.baselines import NaivePathRouter
 from repro.errors import ReproError
 from repro.experiments import (
     butterfly_hotrow_instance,
-    parallel_map,
     run_spec_trials,
 )
 from repro.scenarios import RunSpec, run_cached, run_trial, save_spec
@@ -185,20 +184,18 @@ class TestCounters:
         assert aggregate_counters([None, snaps[0]])["runs"] == 1
 
     def test_progress_callback_fires_per_trial(self):
-        seen = []
-        parallel_map(
-            str, [1, 2, 3], workers=1, progress=lambda d, t, v: seen.append((d, t, v))
-        )
-        assert seen == [(1, 3, "1"), (2, 3, "2"), (3, 3, "3")]
-        seen.clear()
-        parallel_map(
-            str,
-            list(range(7)),
-            workers=3,
-            chunksize=2,
-            progress=lambda d, t, v: seen.append((d, t, v)),
-        )
-        assert seen == [(i + 1, 7, str(i)) for i in range(7)]
+        specs = [_spec(seed=s, name=f"p{s}") for s in range(5)]
+        for dispatch in ("serial", "pool"):
+            seen = []
+            records = run_spec_trials(
+                specs,
+                workers=2,
+                chunksize=2,
+                dispatch=dispatch,
+                progress=lambda d, t, r: seen.append((d, t, r.spec.name)),
+            )
+            assert [r.spec.name for r in records] == [s.name for s in specs]
+            assert seen == [(i + 1, 5, f"p{i}") for i in range(5)], dispatch
 
 
 # -------------------------------------------------------------------- trace

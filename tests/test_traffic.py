@@ -1,10 +1,8 @@
 """Tests for the streaming traffic core (``repro.traffic``).
 
-Covers the four tentpole layers: injection sources (including byte-identity
-of :class:`BernoulliSource` with the legacy ``bernoulli_arrivals``), the
-engine-level arrival gating shared by the reference and vectorized kernels,
-windowed live metrics, and the open-loop streaming driver behind
-``repro serve``.  The golden-digest class pins the refactored dynamic
+Covers four layers: injection sources, the engine-level arrival gating
+shared by the reference and vectorized kernels, windowed live metrics, and
+the open-loop streaming driver behind ``repro serve``.  The golden-digest class pins the refactored dynamic
 pipeline to its pre-refactor behavior, hash for hash.
 """
 
@@ -12,23 +10,16 @@ import hashlib
 import json
 import pathlib
 import tempfile
-import warnings
 
 import pytest
 
 from repro.baselines import GreedyHotPotatoRouter, NaivePathRouter
-from repro.dynamic import (
-    DynamicNaiveRouter,
-    Router_attach,
-    bernoulli_arrivals,
-    router_attach,
-)
 from repro.errors import ParameterError, ReproError, SimulationError, WorkloadError
 from repro.net import butterfly
 from repro.paths import random_monotone_path
 from repro.rng import make_rng
 from repro.scenarios import RunSpec, run_trial
-from repro.sim import Engine, numpy_available
+from repro.sim import Engine
 from repro.sim.events import EventKind, TraceEvent
 from repro.telemetry import WindowedMetrics
 from repro.telemetry.live import WINDOW_SCHEMA, _quantile
@@ -50,11 +41,6 @@ from repro.experiments import (
     run_naive_vec_trial,
     run_router_trial,
 )
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="vectorized backend requires numpy"
-)
-
 
 @pytest.fixture
 def net():
@@ -93,16 +79,6 @@ class TestArrivalSchedule:
 
 
 class TestSources:
-    def test_bernoulli_matches_legacy_stream(self, net):
-        """Draw-for-draw identity with repro.dynamic.bernoulli_arrivals."""
-        legacy = bernoulli_arrivals(
-            net, 0.3, horizon=120, seed=17, source_levels=[0, 1], min_hops=2
-        )
-        src = BernoulliSource(
-            net, 0.3, seed=17, horizon=120, source_levels=[0, 1], min_hops=2
-        )
-        assert collect_arrivals(src) == legacy
-
     def test_bernoulli_validation(self, net):
         with pytest.raises(WorkloadError):
             BernoulliSource(net, 1.5)
@@ -219,7 +195,6 @@ def _asdict(result):
     return asdict(result)
 
 
-@needs_numpy
 class TestVecIdentityWithArrivals:
     def test_naive_ref_vs_vec(self, net):
         arrivals = collect_arrivals(BernoulliSource(net, 0.3, seed=21, horizon=60))
@@ -470,26 +445,6 @@ class TestWindowedMetrics:
             assert _quantile(data, q) == pytest.approx(
                 float(np.quantile(data, q))
             )
-
-
-# ------------------------------------------------------- deprecation shims
-
-
-class TestDeprecations:
-    def test_router_attach_new_name_clean(self, net):
-        arrivals = bernoulli_arrivals(net, 0.2, horizon=20, seed=1)
-        problem, times = problem_from_arrivals(net, arrivals, seed=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            engine = Engine(problem, DynamicNaiveRouter(times), seed=3)
-            router_attach(NaivePathRouter(), engine)
-
-    def test_Router_attach_warns_and_delegates(self, net):
-        arrivals = bernoulli_arrivals(net, 0.2, horizon=20, seed=1)
-        problem, times = problem_from_arrivals(net, arrivals, seed=2)
-        engine = Engine(problem, DynamicNaiveRouter(times), seed=3)
-        with pytest.warns(DeprecationWarning):
-            Router_attach(NaivePathRouter(), engine)
 
 
 # --------------------------------------------------------- RunSpec arrivals

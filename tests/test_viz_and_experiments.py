@@ -7,12 +7,13 @@ from repro.experiments import (
     baseline_budget,
     butterfly_hotrow_instance,
     butterfly_random_instance,
+    butterfly_random_spec,
     deep_random_instance,
     mesh_corner_shift_instance,
     mesh_monotone_instance,
     run_frontier_trial,
-    run_frontier_trials,
     run_router_trial,
+    run_spec_trials,
     small_audit_suite,
 )
 from repro.sim import Engine
@@ -99,9 +100,8 @@ class TestRunner:
         assert a.delivery_times == b.delivery_times
 
     def test_run_frontier_trials_multi(self):
-        records = run_frontier_trials(
-            lambda seed: butterfly_random_instance(3, seed=seed),
-            seeds=[1, 2],
+        records = run_spec_trials(
+            [butterfly_random_spec(3, seed=seed) for seed in (1, 2)]
         )
         assert len(records) == 2
         assert all(r.result.all_delivered for r in records)

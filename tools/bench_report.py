@@ -312,12 +312,9 @@ def _ref_vec_identical(ref_factory, vec_factory, max_steps: int) -> bool:
 
 
 def run_engine_bench(smoke: bool, repeats: int, profile_dir=None):
-    from repro.sim import numpy_available
-
     target_sec = 0.1 if smoke else 0.5
     cases = {}
     vec_cases = {}
-    vec_ok = numpy_available()
     for name, (ref, vec, max_steps) in _engine_cases(smoke).items():
         print(f"[engine] timing {name} ...", flush=True)
         cases[name] = time_engine_case(ref, max_steps, repeats, target_sec)
@@ -327,8 +324,6 @@ def run_engine_bench(smoke: bool, repeats: int, profile_dir=None):
             f"({cases[name]['steps_executed']} steps in "
             f"{cases[name]['elapsed_sec']}s)"
         )
-        if not vec_ok:
-            continue
         print(f"[engine] timing {name} (vectorized) ...", flush=True)
         timing = time_engine_case(vec, max_steps, repeats, target_sec)
         _profiled(profile_dir, f"{name}_vec", lambda: _one_run(vec, max_steps))
@@ -361,28 +356,27 @@ def run_engine_bench(smoke: bool, repeats: int, profile_dir=None):
     print("[engine] timing streaming_steady_state (closed-loop ref) ...", flush=True)
     ref_timing = time_engine_case(sref, smax, repeats, target_sec)
     streaming["closed_loop_ref_steps_per_sec"] = ref_timing["steps_per_sec"]
-    if vec_ok:
-        print(
-            "[engine] timing streaming_steady_state (closed-loop vec) ...",
-            flush=True,
-        )
-        vec_timing = time_engine_case(svec, smax, repeats, target_sec)
-        streaming["closed_loop_vec_steps_per_sec"] = vec_timing["steps_per_sec"]
-        streaming["closed_loop_vec_speedup"] = round(
-            vec_timing["steps_per_sec"] / ref_timing["steps_per_sec"], 3
-        )
-        streaming["closed_loop_ref_vec_identical"] = _ref_vec_identical(
-            sref, svec, smax
-        )
-        print(
-            f"[engine]   closed-loop ref "
-            f"{ref_timing['steps_per_sec']:>10.1f} steps/sec, vec "
-            f"{vec_timing['steps_per_sec']:>10.1f} steps/sec "
-            f"({streaming['closed_loop_vec_speedup']:.2f}x, "
-            f"identical={streaming['closed_loop_ref_vec_identical']})"
-        )
+    print(
+        "[engine] timing streaming_steady_state (closed-loop vec) ...",
+        flush=True,
+    )
+    vec_timing = time_engine_case(svec, smax, repeats, target_sec)
+    streaming["closed_loop_vec_steps_per_sec"] = vec_timing["steps_per_sec"]
+    streaming["closed_loop_vec_speedup"] = round(
+        vec_timing["steps_per_sec"] / ref_timing["steps_per_sec"], 3
+    )
+    streaming["closed_loop_ref_vec_identical"] = _ref_vec_identical(
+        sref, svec, smax
+    )
+    print(
+        f"[engine]   closed-loop ref "
+        f"{ref_timing['steps_per_sec']:>10.1f} steps/sec, vec "
+        f"{vec_timing['steps_per_sec']:>10.1f} steps/sec "
+        f"({streaming['closed_loop_vec_speedup']:.2f}x, "
+        f"identical={streaming['closed_loop_ref_vec_identical']})"
+    )
     cases["streaming_steady_state"] = streaming
-    return cases, vec_cases if vec_ok else None
+    return cases, vec_cases
 
 
 # ---------------------------------------------------------------- trial cases
@@ -525,7 +519,7 @@ def run_varied_bench(smoke: bool) -> dict:
 
     from repro.experiments import deep_random_spec
     from repro.experiments.batch import run_spec_trials_batched
-    from repro.experiments.parallel import derive_sweep_seeds
+    from repro.experiments.batch import derive_sweep_seeds
 
     num_trials = 8 if smoke else 64
     repeats = 2 if smoke else 5
@@ -849,39 +843,38 @@ def main(argv=None) -> int:
             print(f"[engine] {name}: {ratio:.2f}x vs baseline")
     print(f"wrote {write_bench_json('engine', engine_report)}")
 
-    if vec_cases is not None:
-        # The equivalence gate is unconditional (smoke included): a vectorized
-        # run that diverges from the reference engine is a correctness bug,
-        # not a perf regression.
-        broken = [
-            name for name, case in vec_cases.items()
-            if not case["ref_vec_identical"]
-        ]
-        if broken:
+    # The equivalence gate is unconditional (smoke included): a vectorized
+    # run that diverges from the reference engine is a correctness bug,
+    # not a perf regression.
+    broken = [
+        name for name, case in vec_cases.items()
+        if not case["ref_vec_identical"]
+    ]
+    if broken:
+        print(
+            "ERROR: vectorized engine diverged from the reference engine "
+            f"on: {', '.join(broken)}",
+            file=sys.stderr,
+        )
+        return 1
+    floors = (baseline or {}).get("vectorized", {}).get("speedup_floor", {})
+    if floors and not args.smoke:
+        for name, floor in floors.items():
+            case = vec_cases.get(name)
+            if case is None:
+                continue
+            measured = case["vectorized_speedup"]
             print(
-                "ERROR: vectorized engine diverged from the reference engine "
-                f"on: {', '.join(broken)}",
-                file=sys.stderr,
+                f"[engine] {name}: vectorized floor {floor:.2f}x "
+                f"(measured {measured:.2f}x)"
             )
-            return 1
-        floors = (baseline or {}).get("vectorized", {}).get("speedup_floor", {})
-        if floors and not args.smoke:
-            for name, floor in floors.items():
-                case = vec_cases.get(name)
-                if case is None:
-                    continue
-                measured = case["vectorized_speedup"]
+            if measured < floor:
                 print(
-                    f"[engine] {name}: vectorized floor {floor:.2f}x "
-                    f"(measured {measured:.2f}x)"
+                    f"ERROR: vectorized_speedup {measured:.2f}x on {name} "
+                    f"fell below the recorded floor {floor:.2f}x",
+                    file=sys.stderr,
                 )
-                if measured < floor:
-                    print(
-                        f"ERROR: vectorized_speedup {measured:.2f}x on {name} "
-                        f"fell below the recorded floor {floor:.2f}x",
-                        file=sys.stderr,
-                    )
-                    return 1
+                return 1
 
     streaming_floor = (baseline or {}).get("streaming", {}).get(
         "vs_baseline_floor"

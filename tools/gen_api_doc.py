@@ -26,7 +26,6 @@ PACKAGES = [
     "repro.core",
     "repro.baselines",
     "repro.workloads",
-    "repro.dynamic",
     "repro.analysis",
     "repro.viz",
     "repro.scenarios",
