@@ -30,7 +30,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .analysis import format_kv
 from .core import AlgorithmParams, FrameGeometry, compute_theory_values
-from .errors import ReproError, WorkloadError
+from .errors import ParameterError, ReproError
 from .net import LeveledNetwork, profile, validate_leveled
 from .paths import RoutingProblem
 from .scenarios import (
@@ -319,11 +319,7 @@ def cmd_dynamic(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     net = build_network(spec)
-    try:
-        record = run_trial(spec)
-    except WorkloadError as exc:
-        print(exc)
-        return 1
+    record = run_trial(spec)
     result = record.result
     extra = result.extra
     offered = int(extra["offered"])
@@ -435,7 +431,9 @@ def _cmd_sweep_store(args: argparse.Namespace, packets, backend_params) -> int:
         manifest = SweepManifest.from_base(
             base,
             num_trials=args.trials,
-            shard_size=args.shard_size or DEFAULT_SHARD_SIZE,
+            shard_size=(
+                DEFAULT_SHARD_SIZE if args.shard_size is None else args.shard_size
+            ),
             pin=args.fixed_problem,
         )
         if manifest_path is not None:
@@ -861,6 +859,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .telemetry import WindowedMetrics
     from .traffic import make_stream_router, run_stream
 
+    for flag, value, low in (
+        ("--steps", args.steps, 1),
+        ("--window", args.window, 1),
+        ("--max-in-flight", args.max_in_flight, 0),
+    ):
+        if value is not None and value < low:
+            raise ParameterError(f"{flag} must be >= {low}, got {value}")
     if args.spec == "-":
         spec = RunSpec.from_json(sys.stdin.read())
     else:

@@ -52,6 +52,7 @@ from typing import List, Optional, Sequence
 from ..rng import stable_hash_seed
 from ..scenarios import ScenarioCache
 from ..scenarios.cache import DEFAULT_SCENARIO_CAPACITY
+from ..sim.kernels import reference_engine_required
 
 #: Environment knob read by the benchmark harness (see benchmarks/_common.py
 #: and ``python -m repro experiment --workers``).
@@ -243,21 +244,18 @@ class TrialExecutor:
         routing problem (``scenario_hash`` covers every resolved component
         seed) and run it under the same backend family and parameters, so
         the stacked kernel can advance them in one set of arrays.  Trials
-        needing per-trial machinery peel off to :meth:`run`: telemetry or
-        an ambient trace session (the lockstep kernel carries no
-        observers), invariant audits, arrival schedules, or non-lockstep
-        backends.
+        needing per-trial machinery peel off to :meth:`run`: observed or
+        audited trials, which use the reference engine
+        (:func:`~repro.sim.kernels.reference_engine_required`), arrival
+        schedules, and non-lockstep backends.
         """
-        if not self.lockstep or self.telemetry:
+        if not self.lockstep:
             return None
         family = _LOCKSTEP_FAMILIES.get(spec.backend)
         if family is None or spec.arrival:
             return None
-        if family == "frontier" and spec.backend_params.get("audit"):
-            return None
-        from ..telemetry.context import current_session
-
-        if current_session() is not None:
+        audit = family == "frontier" and bool(spec.backend_params.get("audit"))
+        if reference_engine_required(audit, self.telemetry):
             return None
         return (
             spec.scenario_hash(),

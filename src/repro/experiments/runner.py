@@ -21,6 +21,7 @@ from ..core import (
 from ..paths import RoutingProblem
 from ..rng import stable_hash_seed
 from ..sim import Engine, RunResult, Router
+from ..sim.kernels import reference_engine_required
 
 
 def resolve_trial_params(
@@ -132,13 +133,14 @@ def run_frontier_vec_trial(
 
     Byte-identical to :func:`run_frontier_trial` with the same arguments
     (same RNG stream derivations, same result digests) — see the
-    equivalence contract in :mod:`repro.sim.engine_vec`.  Falls back to
-    the reference engine when auditing is requested (the invariant
-    auditor needs the reference engine's post-step hooks).
+    equivalence contract in :mod:`repro.sim.engine_vec`.  An observed or
+    audited run (:func:`~repro.sim.kernels.reference_engine_required`)
+    runs :func:`run_frontier_trial` instead: the kernel emits no events
+    and takes no post-step hooks.
     """
     from ..sim.engine_vec import VecEngine
 
-    if audit:
+    if reference_engine_required(audit):
         return run_frontier_trial(
             problem,
             seed,
@@ -255,10 +257,17 @@ def run_naive_vec_trial(
 
     Byte-identical to ``run_router_trial`` with a ``NaivePathRouter``
     factory and the same seed (the naive router draws no randomness of
-    its own, so only the engine stream matters).
+    its own, so only the engine stream matters).  An observed run runs
+    exactly that reference trial instead.
     """
     from ..sim.engine_vec import VecEngine
 
+    if reference_engine_required():
+        from ..baselines import NaivePathRouter
+
+        return run_router_trial(
+            problem, lambda _seed: NaivePathRouter(), seed, max_steps
+        )
     engine = VecEngine.naive(problem, seed=stable_hash_seed(seed, 5))
     return engine.run(max_steps)
 

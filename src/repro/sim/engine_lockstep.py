@@ -26,8 +26,9 @@ order exactly:
 * arbitration tie-breaks and loser shuffles come from each trial's own
   engine generator, drawn only when *that trial's* step is contended —
   a conflicted trial falls out of the vectorized fast path for that tick
-  and replays the reference arbitration order on its own slot segment,
-  while the other trials stay on the batched path.
+  and replays the reference arbitration on its own slot segment through
+  :func:`~repro.sim.kernels.replay_contended`, the code the per-trial
+  kernel uses, while the other trials stay on the batched path.
 
 Per-trial divergence is handled with masks: each trial has its own clock
 ``t[i]`` (quiescence fast-forward skips different spans per trial),
@@ -35,21 +36,29 @@ finished trials drop out of the live set, and the conflict-free fast
 path / contended fallback split is decided per ``(trial, slot)`` — a
 conflict in one trial never serializes the others.
 
-Not supported (callers peel off to the per-trial engines): observers /
-tracing, post-step hooks (the invariant auditor), arrival schedules, and
-routers other than the frontier-frame algorithm and the naive
-path-following baseline.  ``repro.experiments.batch.TrialExecutor``
+The kernel is untraced, like the per-trial one: it emits no events and
+refuses to be built under an active telemetry session.  Not supported
+(callers peel off to the per-trial paths): observed runs (telemetry,
+traces, the invariant auditor), which use the reference engine, arrival
+schedules, and routers other than the frontier-frame algorithm and the
+naive path-following baseline.  ``repro.experiments.batch.TrialExecutor``
 applies exactly that peel-off policy when grouping chunks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..errors import CapacityError, ReproError, SimulationError
+from ..errors import ReproError, SimulationError
 from ..rng import RngLike, make_rng
+from .kernels import (
+    check_frontier_params,
+    check_unobserved,
+    frontier_extra,
+    replay_contended,
+)
 from .metrics import RunResult
 from .soa import StackedFrontierArrays, StackedPacketArrays
 
@@ -61,17 +70,6 @@ _NORMAL = 2
 _EXCITED = 3
 #: sentinel larger than any injection phase (masked minima)
 _NO_PHASE = 2**62
-
-
-def _isolation_flags(act_nodes: List[int], inj_nodes: List[int]) -> List[bool]:
-    """Reference isolation test: alone at the node, sole injector."""
-    occ: Dict[int, int] = {}
-    for nd in act_nodes:
-        occ[nd] = occ.get(nd, 0) + 1
-    cnt: Dict[int, int] = {}
-    for nd in inj_nodes:
-        cnt[nd] = cnt.get(nd, 0) + 1
-    return [occ.get(nd, 0) == 0 and cnt[nd] == 1 for nd in inj_nodes]
 
 
 class LockstepEngine:
@@ -97,6 +95,7 @@ class LockstepEngine:
         enable_fast_forward: bool = True,
         geometry=None,
     ) -> None:
+        check_unobserved("LockstepEngine")
         if getattr(problem, "arrival_schedule", None) is not None:
             raise ReproError(
                 "the lockstep kernel does not support arrival schedules; "
@@ -217,20 +216,7 @@ class LockstepEngine:
         """
         from ..core.frontier import assign_frontier_sets
 
-        if params.depth != problem.net.depth:
-            from ..errors import ParameterError
-
-            raise ParameterError(
-                f"params built for depth {params.depth} but network has "
-                f"depth {problem.net.depth}"
-            )
-        if params.num_packets != problem.num_packets:
-            from ..errors import ParameterError
-
-            raise ParameterError(
-                f"params built for {params.num_packets} packets but "
-                f"problem has {problem.num_packets}"
-            )
+        check_frontier_params(problem, params)
         router_rngs = [make_rng(s) for s in router_seeds]
         if len(router_rngs) != len(list(engine_seeds)):
             raise ReproError("router_seeds and engine_seeds lengths differ")
@@ -391,10 +377,7 @@ class LockstepEngine:
             safe_snap = {}
             for i in conf_rows.tolist():
                 sp = np.nonzero(self.safe_mask[i])[0]
-                safe_snap[i] = (
-                    soa.node[i, sp].tolist(),
-                    soa.last_edge[i, sp].tolist(),
-                )
+                safe_snap[i] = (soa.node[i, sp], soa.last_edge[i, sp])
             self.safe_mask[lt] = False
             conf_flag = np.zeros(self.trials, dtype=bool)
             conf_flag[conf_rows] = True
@@ -668,175 +651,28 @@ class LockstepEngine:
     ) -> None:
         """Reference arbitration replay for one conflicted trial's step.
 
-        A verbatim port of the VecEngine contended branch operating on
-        this trial's flat participant segment, drawing every tie-break
-        and shuffle from this trial's own engine generator.
+        Runs :func:`~repro.sim.kernels.replay_contended` on this trial's
+        flat participant segment, drawing every tie-break and shuffle from
+        this trial's own engine generator.
         """
         fr = self.fr
-        rng = self.rngs[i]
-        n_parts = pid.size
-        n_act = n_parts - int(is_elig.sum())
-        pids_list = pid.tolist()
-        nodes_list = nodes.tolist()
-        slots_list = slots.tolist()
-        prio_list = fr.state[i, pid].tolist() if fr is not None else None
-        slot_set = set(slots_list)
-
-        contenders: Dict[int, object] = {}
-        for pos, slot in enumerate(slots_list):
-            prev = contenders.get(slot)
-            if prev is None:
-                contenders[slot] = pos
-            elif type(prev) is list:
-                prev.append(pos)
-            else:
-                contenders[slot] = [prev, pos]
-        winner_pos: List[int] = []
-        losers_by_node: Dict[int, List[int]] = {}
-        pending_grants: Dict[int, List[Tuple[int, int]]] = {}
-        for slot, entry in contenders.items():
-            if type(entry) is int:
-                win = entry
-            else:
-                first = entry[0]
-                best = [first]
-                if prio_list is not None:
-                    bk = (1 if first < n_act else 0, prio_list[first])
-                    for pos in entry[1:]:
-                        k = (1 if pos < n_act else 0, prio_list[pos])
-                        if k > bk:
-                            best = [pos]
-                            bk = k
-                        elif k == bk:
-                            best.append(pos)
-                else:
-                    bk = 1 if first < n_act else 0
-                    for pos in entry[1:]:
-                        k = 1 if pos < n_act else 0
-                        if k > bk:
-                            best = [pos]
-                            bk = k
-                        elif k == bk:
-                            best.append(pos)
-                if len(best) > 1:
-                    win = best[int(rng.integers(0, len(best)))]
-                else:
-                    win = best[0]
-                for pos in entry:
-                    if pos != win and pos < n_act:
-                        losers_by_node.setdefault(
-                            nodes_list[pos], []
-                        ).append(pids_list[pos])
-            winner_pos.append(win)
-            if win >= n_act:
-                pending_grants.setdefault(nodes_list[win], []).append(
-                    (pids_list[win], slot)
-                )
-
-        deflected = None
-        if losers_by_node:
-            deflected, revoked = self._match_deflections_row(
-                i, losers_by_node, slot_set, pending_grants, safe_pairs
-            )
-            if revoked:
-                winner_pos = [
-                    pos for pos in winner_pos
-                    if pids_list[pos] not in revoked
-                ]
-        w_pos = np.asarray(winner_pos, dtype=np.int64)
-        w_pids = pid[w_pos]
-        w_edges = edges[w_pos]
-        w_back = backward[w_pos]
-        w_rev = wait_at[w_pos] if wait_at is not None else None
-        inj_pos = [pos for pos in winner_pos if pos >= n_act]
-        violations = 0
-        if inj_pos:
-            inj_ids = np.asarray(
-                [pids_list[pos] for pos in inj_pos], dtype=np.int64
-            )
-            if fr is not None:
-                isolated = _isolation_flags(
-                    nodes_list[:n_act],
-                    [nodes_list[pos] for pos in inj_pos],
-                )
-                violations = isolated.count(False)
-        else:
-            inj_ids = None
+        (
+            w_pids, w_edges, w_back, w_rev, inj_ids, crowded, deflected,
+        ) = replay_contended(
+            int(self.t[i]), self._geo, self.rngs[i], pid, nodes, edges,
+            backward, wait_at, slots.tolist(),
+            fr.state[i, pid].tolist() if fr is not None else None,
+            pid.size - int(is_elig.sum()), *safe_pairs,
+        )
         self._apply_row(
-            i, w_pids, w_edges, w_back, w_rev, inj_ids, violations, deflected
+            i, w_pids, w_edges, w_back, w_rev, inj_ids, crowded, deflected
         )
 
-    def _match_deflections_row(
-        self, i, losers_by_node, used_slots, pending_grants, safe_pairs
-    ):
-        """Per-trial loser matching (safe in-edges first, Lemma 2.1)."""
-        geo = self._geo
-        in_edges = geo.in_edges
-        in_slot_ids = geo.in_slot_ids
-        out_edges = geo.out_edges
-        out_slot_ids = geo.out_slot_ids
-        safe_by_node: Dict[int, Set[int]] = {}
-        for nd, e in zip(*safe_pairs):
-            safe_by_node.setdefault(nd, set()).add(e)
-        rng = self.rngs[i]
-        t = int(self.t[i])
-        deflected: List[Tuple[int, int, bool]] = []
-        revoked: Optional[Set[int]] = None
-        for node, losers in losers_by_node.items():
-            if len(losers) > 1:
-                rng.shuffle(losers)
-            safe_here = safe_by_node.get(node, ())
-            needed = len(losers)
-            candidates: List[Tuple[int, int, bool]] = []
-            node_in = in_edges[node]
-            node_in_slots = in_slot_ids[node]
-            if safe_here:
-                for e, s in zip(node_in, node_in_slots):
-                    if e in safe_here and s not in used_slots:
-                        candidates.append((e, s, True))
-                        if len(candidates) == needed:
-                            break
-                if len(candidates) < needed:
-                    for e, s in zip(node_in, node_in_slots):
-                        if e not in safe_here and s not in used_slots:
-                            candidates.append((e, s, False))
-                            if len(candidates) == needed:
-                                break
-            else:
-                for e, s in zip(node_in, node_in_slots):
-                    if s not in used_slots:
-                        candidates.append((e, s, False))
-                        if len(candidates) == needed:
-                            break
-            if len(candidates) < needed:
-                for e, s in zip(out_edges[node], out_slot_ids[node]):
-                    if s not in used_slots:
-                        candidates.append((e, s, False))
-                        if len(candidates) == needed:
-                            break
-            node_pending = pending_grants.get(node)
-            while len(candidates) < needed and node_pending:
-                revoke_pid, slot = node_pending.pop()
-                if revoked is None:
-                    revoked = set()
-                revoked.add(revoke_pid)
-                used_slots.discard(slot)
-                candidates.append((slot >> 1, slot, False))
-            if len(candidates) < needed:
-                raise CapacityError(
-                    f"step {t}: node {node} has {needed} deflected "
-                    f"packets but only {len(candidates)} free slots"
-                )
-            for pid, (edge, slot, safe) in zip(losers, candidates):
-                used_slots.add(slot)
-                deflected.append((pid, edge, safe))
-        return deflected, revoked
-
     def _apply_row(
-        self, i, w_pids, w_edges, w_back, w_rev, inj_ids, violations,
+        self, i, w_pids, w_edges, w_back, w_rev, inj_ids, crowded,
         deflected,
     ) -> None:
-        """Row port of the VecEngine untraced move application."""
+        """Apply one trial's granted moves in grant order, then deflections."""
         soa = self.soa
         fr = self.fr
         ti = int(self.t[i])
@@ -850,7 +686,7 @@ class LockstepEngine:
             self.act_mat[i, c0:c0 + inj_ids.size] = inj_ids
             self.act_cnt[i] = c0 + inj_ids.size
             self.num_active[i] += inj_ids.size
-            self.isolation_violations[i] += violations
+            self.isolation_violations[i] += crowded
 
         if w_rev is not None and w_rev.any():
             rev_p = w_pids[w_rev]
@@ -912,12 +748,8 @@ class LockstepEngine:
                     self.wait_entries[i] += entering.size
                     self.num_waiting[i] += entering.size
 
-        if deflected:
-            pids = np.asarray([d[0] for d in deflected], dtype=np.int64)
-            eidx = np.asarray([d[1] for d in deflected], dtype=np.int64)
-            unsafe = np.asarray(
-                [not d[2] for d in deflected], dtype=bool
-            )
+        if deflected is not None:
+            pids, eidx, unsafe = deflected
             c = soa.cursor[i, pids]
             if int(c.min()) == 0:
                 soa.grow_front()
@@ -1086,18 +918,12 @@ class LockstepEngine:
         delivery_times = [a if a >= 0 else None for a in aa.tolist()]
         extra: Dict[str, float] = {}
         if self.fr is not None:
-            extra = {
-                "num_sets": float(self._num_sets),
-                "m": float(self._m),
-                "w": float(self._w),
-                "q": float(self._q),
-                "excitations": float(self.excitations[i]),
-                "wait_entries": float(self.wait_entries[i]),
-                "wait_evictions": float(self.wait_evictions[i]),
-                "phase_releases": float(self.phase_releases[i]),
-                "isolation_violations": float(self.isolation_violations[i]),
-                "phases_elapsed": float(self.current_phase[i] + 1),
-            }
+            extra = frontier_extra((
+                self._num_sets, self._m, self._w, self._q,
+                self.excitations[i], self.wait_entries[i],
+                self.wait_evictions[i], self.phase_releases[i],
+                self.isolation_violations[i], self.current_phase[i] + 1,
+            ))
         return RunResult(
             router_name=self.router_name,
             network_name=self.net.name,

@@ -22,10 +22,8 @@ The reference engine remains the semantic oracle.  For the two supported
 policies (the paper's frontier-frame algorithm and the naive path-following
 baseline) a ``VecEngine`` run is **byte-identical** to the reference run
 with the same seeds: equal :class:`~repro.sim.RunResult` fields (delivery
-times, deflection counts, move totals, router extras), equal telemetry
-counters, and an equal trace event stream when observers are attached.
-This holds because the kernel reproduces the reference's RNG draw order
-exactly:
+times, deflection counts, move totals, router extras).  This holds because
+the kernel reproduces the reference's RNG draw order exactly:
 
 * excitation coins: ``Generator.random(n)`` draws the same doubles as
   ``n`` successive scalar ``random()`` calls, in active-packet order;
@@ -36,11 +34,16 @@ exactly:
 
 and mirrors every ordering the reference exposes (active ids in injection
 order, eligible ids sorted, winner application in slot order).  The
-differential fuzz tests in ``tests/test_engine_vec.py`` pin the contract.
+contended-step arbitration is the one :func:`~repro.sim.kernels.
+replay_contended` shared with the lockstep kernel.  The differential fuzz
+tests in ``tests/test_engine_vec.py`` pin the contract.
 
-Not supported (callers fall back to the reference engine): post-step hooks
-(the invariant auditor), routers other than the two above, and
-``collect_round_stats``.
+The kernel is untraced: it emits no events, so it takes no observers and
+refuses to be built under an active telemetry session.  Observed runs
+(telemetry, traces, the invariant auditor) use the reference engine, as
+do routers other than the two above and ``collect_round_stats``; the
+trial runners apply that rule (:func:`~repro.sim.kernels.
+reference_engine_required`).
 
 Performance
 -----------
@@ -54,19 +57,21 @@ must still be accounted as executed steps.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
-from ..errors import CapacityError, SimulationError
+from ..errors import SimulationError
 from ..rng import RngLike, make_rng
-from ..telemetry.context import current_session
-from ..types import Direction
-from .events import EventKind, TraceEvent
+from .kernels import (
+    check_frontier_params,
+    check_unobserved,
+    count_crowded,
+    frontier_extra,
+    replay_contended,
+)
 from .metrics import RunResult
 from .soa import FrontierArrays, PacketArrays
-
-Observer = Callable[[TraceEvent], None]
 
 _PENDING = 0  # PacketStatus values, as plain ints for array compares
 _ACTIVE = 1
@@ -74,7 +79,6 @@ _ABSORBED = 2
 _WAIT = 1  # PacketState values (the value IS the priority)
 _NORMAL = 2
 _EXCITED = 3
-_STATE_NAMES = {_WAIT: "wait", _NORMAL: "normal", _EXCITED: "excited"}
 
 
 class VecEngine:
@@ -93,7 +97,6 @@ class VecEngine:
         *,
         mode: str,
         seed: RngLike = None,
-        observers: Sequence[Observer] = (),
         enable_fast_forward: bool = True,
         geometry=None,
         router_rng=None,
@@ -103,9 +106,9 @@ class VecEngine:
         q: float = 0.0,
         set_of: Optional[Sequence[int]] = None,
     ) -> None:
+        check_unobserved("VecEngine")
         self.problem = problem
         self.net = problem.net
-        self.packets = problem.packets  # specs; len() feeds telemetry
         self.mode = mode
         self.router_name = (
             "FrontierFrameRouter" if mode == "frontier" else "NaivePathRouter"
@@ -118,8 +121,6 @@ class VecEngine:
         self.num_absorbed = 0
         self.unsafe_deflections = 0
         self._enable_fast_forward = enable_fast_forward
-        self._observers: List[Observer] = list(observers)
-        self._step_timer = None
 
         geo = geometry if geometry is not None else self.net.geometry()
         self._geo = geo
@@ -203,10 +204,6 @@ class VecEngine:
         self._num_waiting = 0
         self._num_excited = 0
 
-        session = current_session()
-        if session is not None:
-            session.attach(self)
-
     # ------------------------------------------------------------- factories
 
     @classmethod
@@ -219,7 +216,6 @@ class VecEngine:
         router_seed: RngLike = None,
         seed: RngLike = None,
         enable_fast_forward: bool = True,
-        observers: Sequence[Observer] = (),
         geometry=None,
     ) -> "VecEngine":
         """Kernel for the paper's frontier-frame algorithm.
@@ -231,20 +227,7 @@ class VecEngine:
         """
         from ..core.frontier import assign_frontier_sets
 
-        if params.depth != problem.net.depth:
-            from ..errors import ParameterError
-
-            raise ParameterError(
-                f"params built for depth {params.depth} but network has "
-                f"depth {problem.net.depth}"
-            )
-        if params.num_packets != problem.num_packets:
-            from ..errors import ParameterError
-
-            raise ParameterError(
-                f"params built for {params.num_packets} packets but "
-                f"problem has {problem.num_packets}"
-            )
+        check_frontier_params(problem, params)
         router_rng = make_rng(router_seed)
         if set_of is None:
             set_of = assign_frontier_sets(problem, params.num_sets, router_rng)
@@ -252,7 +235,6 @@ class VecEngine:
             problem,
             mode="frontier",
             seed=seed,
-            observers=observers,
             enable_fast_forward=enable_fast_forward,
             geometry=geometry,
             router_rng=router_rng,
@@ -269,48 +251,20 @@ class VecEngine:
         problem,
         *,
         seed: RngLike = None,
-        observers: Sequence[Observer] = (),
         geometry=None,
     ) -> "VecEngine":
         """Kernel for the naive path-following baseline."""
-        return cls(problem, mode="naive", seed=seed, observers=observers,
-                   geometry=geometry)
-
-    # ---------------------------------------------------------------- events
-
-    def add_observer(self, observer: Observer) -> None:
-        """Register an event observer (tracer, counters, ...)."""
-        self._observers.append(observer)
-
-    def emit(self, event: TraceEvent) -> None:
-        """Deliver an event to all observers."""
-        for observer in self._observers:
-            observer(event)
-
-    @property
-    def tracing(self) -> bool:
-        """Whether any observer is attached."""
-        return bool(self._observers)
-
-    # ------------------------------------------------------------------ time
-
-    def _phase(self, t: int) -> int:
-        return t // self._spp
-
-    def _round(self, t: int) -> int:
-        return (t % self._spp) // self._w
+        return cls(problem, mode="naive", seed=seed, geometry=geometry)
 
     # -------------------------------------------------------------- pre-step
 
-    def _pre_step(self, t: int, tracing: bool) -> None:
+    def _pre_step(self, t: int) -> None:
         """Frontier router pre-step: schedule events, wait entries, coins."""
         fr = self.fr
         soa = self.soa
         if t % self._spp == 0:
             phase = t // self._spp
             self._current_phase = phase
-            if tracing:
-                self.emit(TraceEvent(t, EventKind.PHASE_START, detail=str(phase)))
             keys = self._phase_keys
             idx = self._next_phase_idx
             while idx < len(keys) and keys[idx] <= phase:
@@ -329,10 +283,6 @@ class VecEngine:
         if t % self._w == 0:
             phase = t // self._spp
             rnd = (t % self._spp) // self._w
-            if tracing:
-                self.emit(
-                    TraceEvent(t, EventKind.ROUND_START, detail=f"{phase}:{rnd}")
-                )
             tinner = 0 if rnd <= 1 else rnd - 1
             self._target_by_set = (phase - tinner) - self._set_offsets
             act = self._act
@@ -350,17 +300,11 @@ class VecEngine:
                 )
                 if mask.any():
                     pids = act[mask]
-                    if tracing:
-                        for pid in pids:
-                            old = _STATE_NAMES[int(fr.state[pid])]
-                            self._enter_wait_scalar(int(pid))
-                            self._emit_state(t, int(pid), f"{old}->wait")
-                    else:
-                        fr.state[pids] = _WAIT
-                        fr.wait_node[pids] = soa.node[pids]
-                        fr.wait_edge[pids] = soa.last_edge[pids]
-                        self.wait_entries += int(pids.size)
-                        self._num_waiting += int(pids.size)
+                    fr.state[pids] = _WAIT
+                    fr.wait_node[pids] = soa.node[pids]
+                    fr.wait_edge[pids] = soa.last_edge[pids]
+                    self.wait_entries += int(pids.size)
+                    self._num_waiting += int(pids.size)
         # Excitation coins: one uniform per active normal packet, in
         # active-id order (Generator.random(n) == n scalar draws).
         if self._q > 0.0:
@@ -377,32 +321,10 @@ class VecEngine:
                         fr.state[excited] = _EXCITED
                         self.excitations += int(excited.size)
                         self._num_excited += int(excited.size)
-                        if tracing:
-                            for pid in excited:
-                                self._emit_state(t, int(pid), "normal->excited")
-
-    def _enter_wait_scalar(self, pid: int) -> None:
-        fr = self.fr
-        fr.state[pid] = _WAIT
-        fr.wait_node[pid] = self.soa.node[pid]
-        fr.wait_edge[pid] = self.soa.last_edge[pid]
-        self.wait_entries += 1
-        self._num_waiting += 1
-
-    def _emit_state(self, t: int, pid: int, transition: str) -> None:
-        self.emit(
-            TraceEvent(
-                t,
-                EventKind.STATE,
-                packet=pid,
-                node=int(self.soa.node[pid]),
-                detail=transition,
-            )
-        )
 
     # ------------------------------------------------------------- post-step
 
-    def _post_step(self, t: int, tracing: bool) -> None:
+    def _post_step(self, t: int) -> None:
         """Frontier router post-step: round-end calms, phase-end releases."""
         round_end = (t + 1) % self._w == 0
         phase_end = (t + 1) % self._spp == 0
@@ -413,23 +335,6 @@ class VecEngine:
         fr = self.fr
         act = self._act
         if not act.size:
-            return
-        if tracing:
-            for pid in act:
-                pid = int(pid)
-                st = int(fr.state[pid])
-                if st == _EXCITED:
-                    fr.state[pid] = _NORMAL
-                    self.round_calms += 1
-                    self._num_excited -= 1
-                    self._emit_state(t, pid, "excited->normal")
-                elif phase_end and st == _WAIT:
-                    fr.state[pid] = _NORMAL
-                    fr.wait_node[pid] = -1
-                    fr.wait_edge[pid] = -1
-                    self.phase_releases += 1
-                    self._num_waiting -= 1
-                    self._emit_state(t, pid, "wait->normal")
             return
         st = fr.state[act]
         excited = act[st == _EXCITED]
@@ -453,7 +358,6 @@ class VecEngine:
         t = self.t
         soa = self.soa
         fr = self.fr
-        tracing = bool(self._observers)
 
         # -- arrival release (mirrors Engine.step's held-mark release) ------
         if self._held:
@@ -465,7 +369,7 @@ class VecEngine:
                 self._elig = np.union1d(elig, newly) if elig.size else newly
 
         if fr is not None:
-            self._pre_step(t, tracing)
+            self._pre_step(t)
 
         # -- gather desires over participants ------------------------------
         act = self._act
@@ -475,7 +379,7 @@ class VecEngine:
         n_parts = parts.size
         if not n_parts:
             if fr is not None:
-                self._post_step(t, tracing)
+                self._post_step(t)
             self._safe_nodes = self._empty
             self._safe_edges = self._empty
             self.t = t + 1
@@ -524,241 +428,50 @@ class VecEngine:
         # and on conflicted steps the reference's dict walk beats per-slot
         # numpy group math by an order of magnitude at these sizes.
         slots_list = slots.tolist()
-        slot_set = set(slots_list)
-        pend_flags: Optional[List[bool]] = None
-        if len(slot_set) == n_parts:
+        w_rev = wait_at if any_wait else None
+        if len(set(slots_list)) == n_parts:
             # Conflict-free fast path: every desire is granted, and
             # participant order IS the reference's granted order.
             w_pids = parts
             w_edges = edges
             w_back = backward
-            w_rev = wait_at if any_wait else None
             deflected = None
+            crowded = 0
             if n_act < n_parts:
                 inj_ids = parts[n_act:]
-                if tracing or fr is not None:
+                if fr is not None:
                     nodes_list = nodes.tolist()
-                    isolated = self._isolation_flags(
+                    crowded = count_crowded(
                         nodes_list[:n_act], nodes_list[n_act:]
                     )
-                else:
-                    isolated = None
-                if tracing:
-                    pend_flags = [i >= n_act for i in range(n_parts)]
             else:
                 inj_ids = None
-                isolated = None
-                if tracing:
-                    pend_flags = [False] * n_parts
         else:
-            pids_list = parts.tolist()
-            nodes_list = nodes.tolist()
-            prio_list = fr.state[parts].tolist() if fr is not None else None
-            contenders: Dict[int, object] = {}
-            for pos, slot in enumerate(slots_list):
-                prev = contenders.get(slot)
-                if prev is None:
-                    contenders[slot] = pos
-                elif type(prev) is list:
-                    prev.append(pos)
-                else:
-                    contenders[slot] = [prev, pos]
-            rng = self.rng
-            winner_pos: List[int] = []
-            losers_by_node: Dict[int, List[int]] = {}
-            pending_grants: Dict[int, List[Tuple[int, int]]] = {}
-            # Contender-dict insertion order = slot first-appearance order,
-            # the reference's arbitration (and tie-break draw) order.
-            for slot, entry in contenders.items():
-                if type(entry) is int:
-                    win = entry
-                else:
-                    # sequential best-keeping on (class, priority), exactly
-                    # as the reference: first max wins ties into the pool
-                    first = entry[0]
-                    best = [first]
-                    if prio_list is not None:
-                        bk = (
-                            1 if first < n_act else 0,
-                            prio_list[first],
-                        )
-                        for pos in entry[1:]:
-                            k = (1 if pos < n_act else 0, prio_list[pos])
-                            if k > bk:
-                                best = [pos]
-                                bk = k
-                            elif k == bk:
-                                best.append(pos)
-                    else:
-                        bk = 1 if first < n_act else 0
-                        for pos in entry[1:]:
-                            k = 1 if pos < n_act else 0
-                            if k > bk:
-                                best = [pos]
-                                bk = k
-                            elif k == bk:
-                                best.append(pos)
-                    if len(best) > 1:
-                        win = best[int(rng.integers(0, len(best)))]
-                    else:
-                        win = best[0]
-                    for pos in entry:
-                        if pos != win and pos < n_act:
-                            # pending losers simply fail to inject
-                            losers_by_node.setdefault(
-                                nodes_list[pos], []
-                            ).append(pids_list[pos])
-                winner_pos.append(win)
-                if win >= n_act:
-                    pending_grants.setdefault(nodes_list[win], []).append(
-                        (pids_list[win], slot)
-                    )
-
-            # -- deflection slot matching -----------------------------------
-            deflected = None
-            revoked = None
-            if losers_by_node:
-                deflected, revoked = self._match_deflections(
-                    t, losers_by_node, slot_set, pending_grants
-                )
-                if revoked:
-                    winner_pos = [
-                        pos
-                        for pos in winner_pos
-                        if pids_list[pos] not in revoked
-                    ]
-            w_pos = np.asarray(winner_pos, dtype=np.int64)
-            w_pids = parts[w_pos]
-            w_edges = edges[w_pos]
-            w_back = backward[w_pos]
+            (
+                w_pids, w_edges, w_back, w_rev, inj_ids, crowded, deflected,
+            ) = replay_contended(
+                t, self._geo, self.rng, parts, nodes, edges, backward, w_rev,
+                slots_list, fr.state[parts].tolist() if fr is not None else None,
+                n_act, self._safe_nodes, self._safe_edges,
+            )
             any_back = bool(w_back.any())
-            w_rev = wait_at[w_pos] if any_wait else None
-            inj_pos = [pos for pos in winner_pos if pos >= n_act]
-            if inj_pos:
-                inj_ids = np.asarray(
-                    [pids_list[pos] for pos in inj_pos], dtype=np.int64
-                )
-                if tracing or fr is not None:
-                    isolated = self._isolation_flags(
-                        nodes_list[:n_act],
-                        [nodes_list[pos] for pos in inj_pos],
-                    )
-                else:
-                    isolated = None
-            else:
-                inj_ids = None
-                isolated = None
-            if tracing:
-                pend_flags = [pos >= n_act for pos in winner_pos]
 
-        # -- apply winner moves and deflections -----------------------------
-        if tracing:
-            self._apply_traced(
-                t, w_pids, w_edges, w_back, w_rev, pend_flags, isolated,
-                deflected,
-            )
-        else:
-            violations = 0
-            if fr is not None and isolated is not None:
-                violations = isolated.count(False)
-            self._apply_vectorized(
-                t, w_pids, w_edges, w_back, w_rev, inj_ids, violations,
-                deflected, any_back, maybe_deliver,
-            )
-
+        self._apply(
+            t, w_pids, w_edges, w_back, w_rev, inj_ids, crowded, deflected,
+            any_back, maybe_deliver,
+        )
         if fr is not None:
-            self._post_step(t, tracing)
+            self._post_step(t)
         self.t = t + 1
         self.steps_executed += 1
 
-    @staticmethod
-    def _isolation_flags(
-        act_nodes: List[int], inj_nodes: List[int]
-    ) -> List[bool]:
-        """Reference isolation test: alone at the node, sole injector."""
-        occ: Dict[int, int] = {}
-        for nd in act_nodes:
-            occ[nd] = occ.get(nd, 0) + 1
-        cnt: Dict[int, int] = {}
-        for nd in inj_nodes:
-            cnt[nd] = cnt.get(nd, 0) + 1
-        return [
-            occ.get(nd, 0) == 0 and cnt[nd] == 1 for nd in inj_nodes
-        ]
-
-    def _match_deflections(self, t, losers_by_node, used_slots, pending_grants):
-        """Match losers to free slots (safe in-edges first, Lemma 2.1)."""
-        geo = self._geo
-        in_edges = geo.in_edges
-        in_slot_ids = geo.in_slot_ids
-        out_edges = geo.out_edges
-        out_slot_ids = geo.out_slot_ids
-        safe_by_node: Dict[int, Set[int]] = {}
-        sn = self._safe_nodes
-        if sn.size:
-            for nd, e in zip(sn.tolist(), self._safe_edges.tolist()):
-                safe_by_node.setdefault(nd, set()).add(e)
-        rng = self.rng
-        deflected: List[Tuple[int, int, bool]] = []
-        revoked: Optional[Set[int]] = None
-        for node, losers in losers_by_node.items():
-            if len(losers) > 1:
-                rng.shuffle(losers)
-            safe_here = safe_by_node.get(node, ())
-            needed = len(losers)
-            candidates: List[Tuple[int, int, bool]] = []
-            node_in = in_edges[node]
-            node_in_slots = in_slot_ids[node]
-            if safe_here:
-                for e, s in zip(node_in, node_in_slots):
-                    if e in safe_here and s not in used_slots:
-                        candidates.append((e, s, True))
-                        if len(candidates) == needed:
-                            break
-                if len(candidates) < needed:
-                    for e, s in zip(node_in, node_in_slots):
-                        if e not in safe_here and s not in used_slots:
-                            candidates.append((e, s, False))
-                            if len(candidates) == needed:
-                                break
-            else:
-                for e, s in zip(node_in, node_in_slots):
-                    if s not in used_slots:
-                        candidates.append((e, s, False))
-                        if len(candidates) == needed:
-                            break
-            if len(candidates) < needed:
-                for e, s in zip(out_edges[node], out_slot_ids[node]):
-                    if s not in used_slots:
-                        candidates.append((e, s, False))
-                        if len(candidates) == needed:
-                            break
-            node_pending = pending_grants.get(node)
-            while len(candidates) < needed and node_pending:
-                # Revoke an injection grant at this node and recycle
-                # its slot; the pending packet retries later.
-                revoke_pid, slot = node_pending.pop()
-                if revoked is None:
-                    revoked = set()
-                revoked.add(revoke_pid)
-                used_slots.discard(slot)
-                candidates.append((slot >> 1, slot, False))
-            if len(candidates) < needed:
-                raise CapacityError(
-                    f"step {t}: node {node} has {needed} deflected "
-                    f"packets but only {len(candidates)} free slots"
-                )
-            for pid, (edge, slot, safe) in zip(losers, candidates):
-                used_slots.add(slot)
-                deflected.append((pid, edge, safe))
-        return deflected, revoked
-
     # ----------------------------------------------------- move application
 
-    def _apply_vectorized(
-        self, t, w_pids, w_edges, w_back, w_rev, inj_ids, violations,
+    def _apply(
+        self, t, w_pids, w_edges, w_back, w_rev, inj_ids, crowded,
         deflected, any_back, maybe_deliver,
     ) -> None:
+        """Apply granted moves in grant order, then the deflections."""
         soa = self.soa
         fr = self.fr
 
@@ -770,7 +483,7 @@ class VecEngine:
             self._elig = elig[soa.status[elig] == _PENDING]
             self._act = np.concatenate([self._act, inj_ids])
             self.num_active += int(inj_ids.size)
-            self.isolation_violations += violations
+            self.isolation_violations += crowded
 
         if w_rev is not None and w_rev.any():
             rev_pids = w_pids[w_rev]
@@ -853,206 +566,44 @@ class VecEngine:
                     self.wait_entries += int(entering.size)
                     self._num_waiting += int(entering.size)
 
-        if deflected:
-            self._apply_deflections(t, deflected, tracing=False)
-
-    def _apply_traced(
-        self, t, w_pids, w_edges, w_back, w_rev, pend_flags, isolated_flags,
-        deflected,
-    ) -> None:
-        """Scalar application in reference order, emitting every event."""
-        soa = self.soa
-        fr = self.fr
-        emit = self.emit
-        self._safe_nodes = self._empty
-        self._safe_edges = self._empty
-        inj_seen = 0
-        for i in range(len(w_pids)):
-            pid = int(w_pids[i])
-            edge = int(w_edges[i])
-            backward = bool(w_back[i])
-            rev = bool(w_rev[i]) if w_rev is not None else False
-            if pend_flags[i]:
-                isolated = bool(isolated_flags[inj_seen])
-                inj_seen += 1
-                soa.status[pid] = _ACTIVE
-                soa.injected_at[pid] = t
-                self._elig = self._elig[self._elig != pid]
-                self._act = np.concatenate(
-                    [self._act, np.asarray([pid], dtype=np.int64)]
-                )
-                self.num_active += 1
-                emit(
-                    TraceEvent(
-                        t,
-                        EventKind.INJECT,
-                        packet=pid,
-                        node=int(soa.node[pid]),
-                        detail="isolated" if isolated else "crowded",
-                    )
-                )
-                if fr is not None and not isolated:
-                    self.isolation_violations += 1
-            if rev:
-                c = int(soa.cursor[pid])
-                if c == 0:
-                    soa.grow_front()
-                    c = int(soa.cursor[pid])
-                soa.cursor[pid] = c - 1
-                soa.path_buf[pid, c - 1] = edge
-            else:
-                soa.cursor[pid] += 1
-            if backward:
-                soa.node[pid] = self._edge_src[edge]
-                soa.backward_moves[pid] += 1
-                direction = Direction.BACKWARD
-            else:
-                soa.node[pid] = self._edge_dst[edge]
-                direction = Direction.FORWARD
-            soa.last_edge[pid] = edge
-            soa.last_direction[pid] = int(backward)
-            soa.moves[pid] += 1
-            if not backward and not rev:
-                self._safe_nodes = np.concatenate(
-                    [self._safe_nodes, soa.node[pid: pid + 1]]
-                )
-                self._safe_edges = np.concatenate(
-                    [self._safe_edges, np.asarray([edge], dtype=np.int64)]
-                )
-            emit(
-                TraceEvent(
-                    t,
-                    EventKind.MOVE,
-                    packet=pid,
-                    node=int(soa.node[pid]),
-                    edge=edge,
-                    direction=direction,
-                )
-            )
-            if soa.cursor[pid] == soa.width and soa.node[pid] == soa.destination[pid]:
-                self._absorb_scalar(t, pid)
-            elif fr is not None:
-                st = int(fr.state[pid])
-                if st != _WAIT and not backward:
-                    level = int(self._node_levels[soa.node[pid]])
-                    if level == int(
-                        self._target_by_set[int(fr.set_index[pid])]
-                    ):
-                        old = _STATE_NAMES[st]
-                        self._enter_wait_scalar(pid)
-                        self._emit_state(t, pid, f"{old}->wait")
-        if deflected:
-            self._apply_deflections(t, deflected, tracing=True)
-
-    def _absorb_scalar(self, t: int, pid: int) -> None:
-        soa = self.soa
-        soa.status[pid] = _ABSORBED
-        soa.absorbed_at[pid] = t + 1
-        self.num_active -= 1
-        self.num_absorbed += 1
-        fr = self.fr
-        if fr is not None and int(fr.state[pid]) == _EXCITED:
-            # keep the occupancy counter exact across absorptions
-            self._num_excited -= 1
-        self._act = self._act[self._act != pid]
-        if self.tracing:
-            self.emit(
-                TraceEvent(
-                    t, EventKind.ABSORB, packet=pid, node=int(soa.node[pid])
-                )
-            )
-
-    def _apply_deflections(self, t, deflected, tracing: bool) -> None:
-        soa = self.soa
-        fr = self.fr
-        if not tracing:
-            # Order inside the batch is free: each packet deflects at most
-            # once per step and the counters are additive.
-            pids = np.asarray([d[0] for d in deflected], dtype=np.int64)
-            eidx = np.asarray([d[1] for d in deflected], dtype=np.int64)
-            unsafe = np.asarray([not d[2] for d in deflected], dtype=bool)
-            c = soa.cursor[pids]
-            if int(c.min()) == 0:
-                soa.grow_front()
-                c = soa.cursor[pids]
-            soa.cursor[pids] = c - 1
-            soa.path_buf[pids, c - 1] = eidx
-            src = self._edge_src[eidx]
-            back = soa.node[pids] != src
-            soa.node[pids] = np.where(back, src, self._edge_dst[eidx])
-            soa.last_direction[pids] = back
-            soa.backward_moves[pids] += back
-            soa.last_edge[pids] = eidx
-            soa.moves[pids] += 1
-            soa.deflections[pids] += 1
-            n_unsafe = int(unsafe.sum())
-            if n_unsafe:
-                soa.unsafe_deflections[pids] += unsafe
-                self.unsafe_deflections += n_unsafe
-            if fr is not None and (self._num_waiting or self._num_excited):
-                st = fr.state[pids]
-                waiting = pids[st == _WAIT]
-                if waiting.size:
-                    fr.state[waiting] = _NORMAL
-                    fr.wait_node[waiting] = -1
-                    fr.wait_edge[waiting] = -1
-                    self.wait_evictions += int(waiting.size)
-                    self._num_waiting -= int(waiting.size)
-                excited = pids[st == _EXCITED]
-                if excited.size:
-                    fr.state[excited] = _NORMAL
-                    self._num_excited -= int(excited.size)
+        if deflected is None:
             return
-        for pid, edge, safe in deflected:
-            c = int(soa.cursor[pid])
-            if c == 0:
-                soa.grow_front()
-                c = int(soa.cursor[pid])
-            soa.cursor[pid] = c - 1
-            soa.path_buf[pid, c - 1] = edge
-            if soa.node[pid] == self._edge_src[edge]:
-                soa.node[pid] = self._edge_dst[edge]
-                soa.last_direction[pid] = 0
-                direction = Direction.FORWARD
-            else:
-                soa.node[pid] = self._edge_src[edge]
-                soa.last_direction[pid] = 1
-                soa.backward_moves[pid] += 1
-                direction = Direction.BACKWARD
-            soa.last_edge[pid] = edge
-            soa.moves[pid] += 1
-            soa.deflections[pid] += 1
-            if not safe:
-                soa.unsafe_deflections[pid] += 1
-                self.unsafe_deflections += 1
-            if tracing:
-                self.emit(
-                    TraceEvent(
-                        t,
-                        EventKind.DEFLECT if safe else EventKind.UNSAFE_DEFLECT,
-                        packet=pid,
-                        node=int(soa.node[pid]),
-                        edge=edge,
-                        direction=direction,
-                    )
-                )
-            # Path routers never deliver by deflection: the prepend leaves
-            # the current path non-empty, so the delivery check is skipped.
-            if fr is not None:
-                st = int(fr.state[pid])
-                if st == _WAIT:
-                    fr.state[pid] = _NORMAL
-                    fr.wait_node[pid] = -1
-                    fr.wait_edge[pid] = -1
-                    self.wait_evictions += 1
-                    self._num_waiting -= 1
-                    if tracing:
-                        self._emit_state(t, pid, "wait->normal")
-                elif st == _EXCITED:
-                    fr.state[pid] = _NORMAL
-                    self._num_excited -= 1
-                    if tracing:
-                        self._emit_state(t, pid, "excited->normal")
+        # Order inside the batch is free: each packet deflects at most once
+        # per step and the counters are additive.  Path routers never
+        # deliver by deflection: the prepend leaves the current path
+        # non-empty, so the delivery check is skipped.
+        pids, eidx, unsafe = deflected
+        c = soa.cursor[pids]
+        if int(c.min()) == 0:
+            soa.grow_front()
+            c = soa.cursor[pids]
+        soa.cursor[pids] = c - 1
+        soa.path_buf[pids, c - 1] = eidx
+        src = self._edge_src[eidx]
+        back = soa.node[pids] != src
+        soa.node[pids] = np.where(back, src, self._edge_dst[eidx])
+        soa.last_direction[pids] = back
+        soa.backward_moves[pids] += back
+        soa.last_edge[pids] = eidx
+        soa.moves[pids] += 1
+        soa.deflections[pids] += 1
+        n_unsafe = int(unsafe.sum())
+        if n_unsafe:
+            soa.unsafe_deflections[pids] += unsafe
+            self.unsafe_deflections += n_unsafe
+        if fr is not None and (self._num_waiting or self._num_excited):
+            st = fr.state[pids]
+            waiting = pids[st == _WAIT]
+            if waiting.size:
+                fr.state[waiting] = _NORMAL
+                fr.wait_node[waiting] = -1
+                fr.wait_edge[waiting] = -1
+                self.wait_evictions += int(waiting.size)
+                self._num_waiting -= int(waiting.size)
+            excited = pids[st == _EXCITED]
+            if excited.size:
+                fr.state[excited] = _NORMAL
+                self._num_excited -= int(excited.size)
 
     # ---------------------------------------------------------- fast-forward
 
@@ -1139,14 +690,6 @@ class VecEngine:
         if k <= 0:
             return
         self._advance_span(self.t, target)
-        if self.tracing:
-            self.emit(
-                TraceEvent(
-                    self.t,
-                    EventKind.FAST_FORWARD,
-                    detail=f"skipped {k} steps to {target}",
-                )
-            )
         self.t = target
         self.steps_skipped += k
 
@@ -1156,8 +699,6 @@ class VecEngine:
         The reference engine would step through the span one no-RNG,
         no-event step at a time; the closed form lands on the same state,
         so the span is applied analytically and booked as executed steps.
-        Only taken when untraced (a traced reference run emits per-step
-        events inside the span).
         """
         horizon = self._quiescent_horizon(self.t)
         if horizon is None:
@@ -1186,32 +727,17 @@ class VecEngine:
 
     def run(self, max_steps: int) -> RunResult:
         """Run until delivery or the step budget; return metrics."""
-        timer = self._step_timer
         frontier = self.fr is not None
-        bulk = frontier and not self._enable_fast_forward and not self.tracing
-        if timer is None:
-            while not self.done and self.t < max_steps:
-                if frontier and self._enable_fast_forward:
-                    self._try_fast_forward()
-                elif bulk:
-                    self._try_bulk_advance(max_steps)
-                    if self.t >= max_steps:
-                        break
-                self.step()
-        else:
-            from time import perf_counter
-
-            add_step = timer.add_step
-            while not self.done and self.t < max_steps:
-                if frontier and self._enable_fast_forward:
-                    self._try_fast_forward()
-                elif bulk:
-                    self._try_bulk_advance(max_steps)
-                    if self.t >= max_steps:
-                        break
-                start = perf_counter()
-                self.step()
-                add_step(perf_counter() - start)
+        ff = frontier and self._enable_fast_forward
+        bulk = frontier and not self._enable_fast_forward
+        while not self.done and self.t < max_steps:
+            if ff:
+                self._try_fast_forward()
+            elif bulk:
+                self._try_bulk_advance(max_steps)
+                if self.t >= max_steps:
+                    break
+            self.step()
         return self.result()
 
     def result(self) -> RunResult:
@@ -1227,18 +753,11 @@ class VecEngine:
         ]
         extra: Dict[str, float] = {}
         if self.fr is not None:
-            extra = {
-                "num_sets": float(self._num_sets),
-                "m": float(self._m),
-                "w": float(self._w),
-                "q": float(self._q),
-                "excitations": float(self.excitations),
-                "wait_entries": float(self.wait_entries),
-                "wait_evictions": float(self.wait_evictions),
-                "phase_releases": float(self.phase_releases),
-                "isolation_violations": float(self.isolation_violations),
-                "phases_elapsed": float(self._current_phase + 1),
-            }
+            extra = frontier_extra((
+                self._num_sets, self._m, self._w, self._q, self.excitations,
+                self.wait_entries, self.wait_evictions, self.phase_releases,
+                self.isolation_violations, self._current_phase + 1,
+            ))
         return RunResult(
             router_name=self.router_name,
             network_name=self.net.name,

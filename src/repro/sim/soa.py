@@ -4,7 +4,9 @@ The reference engine keeps one Python :class:`~repro.sim.packet.Packet`
 object per packet and walks them in its hot loop.  The vectorized kernel
 (:mod:`repro.sim.engine_vec`) instead keeps every per-packet field in a
 dense numpy array indexed by packet id — the struct-of-arrays layout — so
-one simulation step becomes a handful of batched array operations.
+one simulation step becomes a handful of batched array operations.  The
+kernels over these arrays are untraced: the state here carries nothing
+for observers, and observed runs use the reference engine.
 
 Two containers live here:
 

@@ -10,6 +10,11 @@ instruments every :class:`~repro.sim.Engine` constructed in this process:
   ``perf_counter`` spans around each executed step, alongside the
   pipeline-stage spans taken by the scenario dispatcher.
 
+Only the reference engine is observed.  The numpy kernels
+(:mod:`repro.sim.engine_vec`, :mod:`repro.sim.engine_lockstep`) emit no
+events, so the trial runners send every run under a session to the
+reference engine, and building a kernel under one raises.
+
 Engines discover the active session through
 :mod:`repro.telemetry.context` at construction time; with no session
 active nothing is attached, the engine's ``tracing`` flag stays False, and
@@ -99,11 +104,8 @@ class TelemetrySession:
         if self.sink is not None:
             if self.engines_attached == 1:
                 problem = engine.problem
-                router_name = getattr(engine, "router_name", None)
-                if router_name is None:
-                    router_name = type(engine.router).__name__
                 header = {
-                    "router": router_name,
+                    "router": type(engine.router).__name__,
                     "network": engine.net.name,
                     "num_packets": len(engine.packets),
                     "congestion": problem.congestion,

@@ -175,10 +175,45 @@ class TestCommands:
 
     def test_dynamic_rejects_negative_drain(self, capsys):
         code = main(["dynamic", "--net", "butterfly:3", "--drain", "-500"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "drain" in out
-        assert "nan" not in out
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: drain" in captured.err
+        assert "nan" not in captured.out + captured.err
+
+    def test_dynamic_rejects_bad_rate(self, capsys):
+        # exit 1 means "ran but did not drain"; bad input is exit 2
+        code = main(["dynamic", "--net", "butterfly:3", "--rate", "1.7"])
+        assert code == 2
+        assert "error: rate" in capsys.readouterr().err
+
+
+class TestServeFlags:
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--window", "0"), ("--steps", "0"), ("--max-in-flight", "-2")],
+    )
+    def test_bad_flag_rejected_before_any_output(
+        self, tmp_path, capsys, flag, value
+    ):
+        from repro.scenarios import RunSpec, save_spec
+
+        spec = tmp_path / "spec.json"
+        save_spec(
+            RunSpec(
+                name="serve",
+                topology="butterfly",
+                topology_params={"dim": 3},
+                arrival="bernoulli",
+                arrival_params={"rate": 0.3},
+                backend="greedy",
+            ),
+            spec,
+        )
+        code = main(["serve", "--spec", str(spec), "--steps", "20", flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} must be >=")
 
 
 class TestSpecCommands:
@@ -221,6 +256,12 @@ class TestSpecCommands:
         assert "cache : hit" in second
         # The cached result is the same record the live run produced.
         assert first.splitlines()[-1] == second.splitlines()[-1]
+
+    def test_sweep_rejects_zero_shard_size(self, tmp_path, capsys):
+        args = ["sweep", "--net", "butterfly:3", "--trials", "3",
+                "--store", str(tmp_path / "store"), "--shard-size", "0"]
+        assert main(args) == 2
+        assert "shard_size must be >= 1" in capsys.readouterr().err
 
     def test_sweep_matches_serial(self, capsys):
         # The sweep output is deterministic for fixed seeds regardless of

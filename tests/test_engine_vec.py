@@ -3,13 +3,17 @@
 The contract of :mod:`repro.sim.engine_vec` is byte-identity, not
 approximate agreement: for the supported router families (frontier,
 naive) the vectorized kernel consumes the same RNG streams in the same
-order as the reference :class:`~repro.sim.Engine`, so every observable —
-delivery times, deflection counts, telemetry counters, full trace event
-streams — must match exactly.  These tests fuzz that contract over
+order as the reference :class:`~repro.sim.Engine`, so every result field
+— delivery times, deflection counts, move totals — must match exactly.
+The kernel is untraced: observed ``*_vec`` runs go to the reference
+engine, so their telemetry counters and trace files must equal the
+reference runs' byte for byte.  These tests fuzz that contract over
 random leveled instances and pinned dense/contended ones, and check that
-audited runs fall back to the reference engine.
+audited and observed runs fall back to the reference engine.
 """
 
+import pathlib
+import tempfile
 from dataclasses import asdict
 
 import pytest
@@ -17,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import NaivePathRouter
-from repro.core import AlgorithmParams, FrontierFrameRouter
+from repro.errors import ReproError
 from repro.experiments import (
     butterfly_hotrow_instance,
     butterfly_random_instance,
@@ -28,8 +32,8 @@ from repro.experiments import (
 )
 from repro.net import layered_complete, random_leveled
 from repro.paths import select_paths_random
-from repro.rng import stable_hash_seed
-from repro.sim import Engine, TraceRecorder, VecEngine
+from repro.sim import VecEngine
+from repro.sim.engine_lockstep import LockstepEngine
 from repro.telemetry import TelemetrySession
 from repro.workloads import random_many_to_one
 
@@ -92,60 +96,64 @@ def test_condition_sets_identical(seed):
 # -------------------------------------------------------------- fuzz: traces
 
 
-def _traced_frontier(problem, seed, fast_forward):
-    params = AlgorithmParams.practical(
-        max(1, problem.congestion), problem.net.depth, problem.num_packets
-    )
-    ref_rec = TraceRecorder()
-    engine = Engine(
-        problem,
-        FrontierFrameRouter(params, seed=stable_hash_seed(seed, 2)),
-        seed=stable_hash_seed(seed, 3),
-        enable_fast_forward=fast_forward,
-    )
-    engine.add_observer(ref_rec.on_event)
-    ref = engine.run(params.total_steps)
-
-    vec_rec = TraceRecorder()
-    vec_engine = VecEngine.frontier(
-        problem,
-        params,
-        router_seed=stable_hash_seed(seed, 2),
-        seed=stable_hash_seed(seed, 3),
-        enable_fast_forward=fast_forward,
-    )
-    vec_engine.add_observer(vec_rec.on_event)
-    vec = vec_engine.run(params.total_steps)
-    return ref, vec, ref_rec.events, vec_rec.events
+def _traced(run, trace_path):
+    """``run()`` under a trace session: (result, counters, trace bytes)."""
+    with TelemetrySession(trace_path=str(trace_path)) as session:
+        result = run()
+    return result, session.counters.to_dict(), pathlib.Path(trace_path).read_bytes()
 
 
 @given(vec_instance(), st.booleans())
 @settings(max_examples=10, deadline=None)
 def test_frontier_trace_streams_identical(problem, fast_forward):
-    ref, vec, ref_events, vec_events = _traced_frontier(problem, 17, fast_forward)
-    assert_results_identical(ref, vec)
-    assert ref_events == vec_events
+    """A ``frontier_vec`` run under a trace session writes the ``frontier``
+    run's trace file and counters, byte for byte."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ref = _traced(
+            lambda: run_frontier_trial(problem, 17, fast_forward=fast_forward),
+            f"{tmp}/ref.jsonl",
+        )
+        vec = _traced(
+            lambda: run_frontier_vec_trial(
+                problem, 17, fast_forward=fast_forward
+            ),
+            f"{tmp}/vec.jsonl",
+        )
+    assert_results_identical(ref[0].result, vec[0].result)
+    assert ref[1:] == vec[1:]
+    assert ref[2].count(b"\n") > 2  # header, events, footer
 
 
-def test_naive_trace_streams_identical_under_deflection():
+def test_naive_trace_streams_identical_under_deflection(tmp_path):
     """Hotrow forces sustained contention, so deflections are traced too."""
     problem = butterfly_hotrow_instance(5, 24, seed=3)
-    ref_rec = TraceRecorder()
-    engine = Engine(
-        problem, NaivePathRouter(), seed=stable_hash_seed(9, 5)
+    ref = _traced(
+        lambda: run_router_trial(
+            problem, lambda _s: NaivePathRouter(), 9, 20000
+        ),
+        tmp_path / "ref.jsonl",
     )
-    engine.add_observer(ref_rec.on_event)
-    ref = engine.run(20000)
-
-    vec_rec = TraceRecorder()
-    vec_engine = VecEngine.naive(problem, seed=stable_hash_seed(9, 5))
-    vec_engine.add_observer(vec_rec.on_event)
-    vec = vec_engine.run(20000)
-
-    assert_results_identical(ref, vec)
-    assert ref_rec.events == vec_rec.events
+    vec = _traced(
+        lambda: run_naive_vec_trial(problem, 9, 20000), tmp_path / "vec.jsonl"
+    )
+    assert_results_identical(ref[0], vec[0])
+    assert ref[1:] == vec[1:]
     # the fixture must actually exercise the deflection path
-    assert any(d for d in vec.deflections_per_packet if d)
+    assert any(d for d in vec[0].deflections_per_packet if d)
+
+
+@pytest.mark.parametrize("kernel", ["vec", "lockstep"])
+def test_kernels_refuse_an_active_session(kernel):
+    """A kernel built under a session would drop its counters and trace."""
+    problem = butterfly_random_instance(3, seed=2)
+    build = {
+        "vec": lambda: VecEngine.naive(problem, seed=0),
+        "lockstep": lambda: LockstepEngine.naive(problem, engine_seeds=[0]),
+    }[kernel]
+    with TelemetrySession():
+        with pytest.raises(ReproError, match="reference engine"):
+            build()
+    build()  # and builds fine once the session is closed
 
 
 # ---------------------------------------------------------- fuzz: telemetry
